@@ -8,6 +8,8 @@ a synthetic benchmark generator, and AC/NMI/conductance metrics round
 out the toolkit.
 """
 
+__version__ = "0.1.0"
+
 from ._errors import (
     ConvergenceError,
     EllispecError,

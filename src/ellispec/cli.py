@@ -13,12 +13,12 @@ import json
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from importlib.metadata import version as pkg_version
 
 import numpy as np
 
+from . import __version__
 from ._errors import ConvergenceError, InvalidGraphError, InvalidPartitionError, RankError
-from .elli import elli_cluster
+from .elli import elli_cluster, graph_embedding
 from .graph import partition_profile
 from .ingest import cosine_knn_graph, load_csv, load_vds
 from .io import read_graph, read_labels, write_embedding, write_graph, write_labels
@@ -73,7 +73,7 @@ def _base_record(args, algo, k):
     return {
         "algo": algo,
         "k": k,
-        "version": pkg_version("ellispec"),
+        "version": __version__,
         "seed": getattr(args, "seed", None),
     }
 
@@ -106,7 +106,7 @@ def _cmd_knn_graph(args):
     graph = cosine_knn_graph(data, args.p)
     write_graph(graph, args.out)
     record = {"algo": "knn-graph", "n": graph.n, "p": args.p,
-              "version": pkg_version("ellispec")}
+              "version": __version__}
     _emit([record], args.json)
     return 0
 
@@ -121,10 +121,8 @@ def _cmd_cluster(args):
     graph = read_graph(args.graph)
     truth = read_labels(args.truth) if args.truth else None
     if args.dump_embedding:
-        from .eigen import bottom_k_eigs
-        from .graph import normalized_laplacian
-        write_embedding(bottom_k_eigs(normalized_laplacian(graph), args.k),
-                        args.dump_embedding)
+        # the graph keeps this embedding, so the clustering below reuses it
+        write_embedding(graph_embedding(graph, args.k), args.dump_embedding)
 
     records = []
     if args.algo == "elli":
@@ -152,11 +150,12 @@ def _cmd_cluster(args):
             ksc_cluster, graph, args.k, trials=args.trials, seed=args.seed,
         )
         for t, run in enumerate(runs):
+            profile = partition_profile(graph, run.partition)
             record = _base_record(args, "ksc", args.k)
             record.update({
                 "trial": t,
-                "mcc": partition_profile(graph, run.partition)["mcc"],
-                "sum_conductance": partition_profile(graph, run.partition)["sum"],
+                "mcc": profile["mcc"],
+                "sum_conductance": profile["sum"],
                 "lambda_next": run.lambda_next,
                 "cost": run.cost,
                 "iterations": run.iterations,
@@ -176,7 +175,7 @@ def _cmd_eval(args):
     labels = read_labels(args.labels)
     truth = read_labels(args.truth)
     record = {"algo": "eval", "k": labels.k,
-              "version": pkg_version("ellispec"),
+              "version": __version__,
               "ac": accuracy(labels, truth),
               "nmi": nmi(labels, truth)}
     if args.graph:
@@ -189,8 +188,6 @@ def _cmd_eval(args):
 
 
 def _sweep_point(inst, algos, trials, seed):
-    from .graph import partition_profile
-
     row = {
         "delta": inst.delta,
         "bound": conductance_bound(inst.c_min, inst.delta),
@@ -238,7 +235,7 @@ def _cmd_sweep(args):
     records = []
     for row in rows:
         record = {"algo": "sweep", "k": len(sizes), "seed": args.seed,
-                  "trials": args.trials, "version": pkg_version("ellispec")}
+                  "trials": args.trials, "version": __version__}
         record.update(row)
         records.append(record)
     _emit(records, args.json)

@@ -1,24 +1,28 @@
 """Bottom-k eigenpairs of the normalized Laplacian (the embedding stage).
 
-Dense symmetric solver below a size threshold; Lanczos with full
-reorthogonalization on the sparse operator above it.  Always retrieves
-k+1 eigenpairs so the next eigenvalue is available for diagnostics.
+Dense symmetric solver up to a size threshold; ARPACK on the normalized
+adjacency above it, with the known null space deflated.  Always retrieves
+k+1 eigenpairs so the next eigenvalue is available for diagnostics.  Each
+graph keeps the embeddings solved for it, so both clustering algorithms
+share one solve per k.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse.linalg
 
-from ._errors import ConvergenceError
-from .graph import NormalizedLaplacian
+from ._errors import ConvergenceError, InvalidGraphError
+from .graph import NormalizedLaplacian, WeightedGraph
 
-__all__ = ["Embedding", "bottom_k_eigs", "gap_diagnostics"]
+__all__ = ["Embedding", "bottom_k_eigs", "cached_embedding", "gap_diagnostics"]
 
 DENSE_THRESHOLD = 2048
 RESIDUAL_TOL = 1e-10
+KERNEL_SHIFT = 3.0  # moves the eigenvalue 1 of S to -2, below its spectrum [-1, 1]
 
 
 @dataclass
@@ -34,9 +38,6 @@ class Embedding:
     P: np.ndarray
     eigenvalues: np.ndarray
     lambda_next: float
-
-    def column(self, ell):
-        return self.P[:, ell]
 
 
 def _validate(P, vals, lap, tol=1e-8):
@@ -61,75 +62,56 @@ def _dense_eigs(lap, k):
     return vals, vecs
 
 
-def _lanczos_eigs(lap, k, tol=RESIDUAL_TOL):
-    """Lanczos with full reorthogonalization for the k+1 smallest pairs."""
-    n = lap.n
-    rng = np.random.default_rng(0x5EED)
-    max_matvecs = 50 * n
-    m_cap = min(n, max_matvecs)
+def _arpack_eigs(lap, k):
+    """ARPACK on S = I - L for the k+1 smallest pairs of L.
 
-    V = np.zeros((n, 0))
-    alphas, betas = [], []
-    v = rng.standard_normal(n)
-    v /= np.linalg.norm(v)
-    V = np.column_stack([V, v])
-    matvecs = 0
-    last = None
+    The null space of L is known: one vector per connected component.  A
+    single-vector Krylov method cannot resolve that multiple eigenvalue,
+    so it is moved from 1 to 1 - KERNEL_SHIFT, below the spectrum of S,
+    and the null vectors are prepended to what ARPACK finds.
+    """
+    s, z = lap.adjacency, lap.kernel
+    c = z.shape[1]
 
-    while matvecs < max_matvecs and V.shape[1] <= m_cap:
-        w = lap.dot(V[:, -1])
-        matvecs += 1
-        alpha = float(V[:, -1] @ w)
-        alphas.append(alpha)
-        w -= V @ (V.T @ w)
-        w -= V @ (V.T @ w)  # second pass keeps the basis orthogonal
-        beta = float(np.linalg.norm(w))
+    def matvec(x):
+        x = x.ravel()
+        return s @ x - KERNEL_SHIFT * (z @ (z.T @ x))
 
-        m = len(alphas)
-        if m >= k + 1 and (m % 5 == 0 or beta <= tol or m == m_cap):
-            T = np.diag(alphas)
-            off = np.array(betas)
-            if off.size:
-                T += np.diag(off, 1) + np.diag(off, -1)
-            tvals, tvecs = scipy.linalg.eigh(T)
-            ritz_resid = beta * np.abs(tvecs[-1, : k + 1])
-            last = (tvals, tvecs, ritz_resid)
-            if ritz_resid.max() <= tol or beta <= tol:
-                vals = tvals[: k + 1]
-                vecs = V @ tvecs[:, : k + 1]
-                return vals, vecs
-
-        if beta <= tol:
-            # invariant subspace hit before convergence of all pairs:
-            # restart direction orthogonal to current basis
-            w = rng.standard_normal(n)
-            w -= V @ (V.T @ w)
-            beta = float(np.linalg.norm(w))
-            if beta <= tol:
-                break
-            betas.append(0.0)
-        else:
-            betas.append(beta)
-        V = np.column_stack([V, w / beta])
-
-    achieved = float(last[2].max()) if last is not None else np.inf
-    raise ConvergenceError(
-        f"Lanczos did not converge within {max_matvecs} matrix-vector "
-        f"products (residual {achieved:.3e})",
-        achieved=achieved,
-    )
+    op = scipy.sparse.linalg.LinearOperator((lap.n, lap.n), matvec=matvec,
+                                            dtype=np.float64)
+    v0 = np.random.default_rng(0x5EED).standard_normal(lap.n)
+    try:
+        theta, vecs = scipy.sparse.linalg.eigsh(op, k=k + 1 - c, which="LA",
+                                                v0=v0, tol=RESIDUAL_TOL)
+    except scipy.sparse.linalg.ArpackNoConvergence as exc:
+        raise ConvergenceError(
+            f"ARPACK converged {len(exc.eigenvalues)} of {k + 1 - c} "
+            f"eigenpairs within its iteration budget"
+        ) from exc
+    return (np.concatenate([np.zeros(c), 1.0 - theta]),
+            np.hstack([z.toarray(), vecs]))
 
 
 def bottom_k_eigs(lap: NormalizedLaplacian, k: int,
                   dense_threshold: int = DENSE_THRESHOLD) -> Embedding:
-    """Compute the k smallest eigenpairs plus the (k+1)th eigenvalue."""
+    """Compute the k smallest eigenpairs plus the (k+1)th eigenvalue.
+
+    Raises InvalidGraphError when the graph has more than k connected
+    components: the eigenvalue 0 then has multiplicity above k.
+    """
     n = lap.n
     if not 1 <= k < n:
         raise ValueError(f"need 1 <= k < n, got k={k}, n={n}")
+    components = lap.kernel.shape[1]
+    if components > k:
+        raise InvalidGraphError(
+            f"graph has {components} connected components, more than k={k}: "
+            f"its bottom-{k} eigenspace is not unique"
+        )
     if n <= dense_threshold:
         vals, vecs = _dense_eigs(lap, k)
     else:
-        vals, vecs = _lanczos_eigs(lap, k)
+        vals, vecs = _arpack_eigs(lap, k)
     order = np.argsort(vals)
     vals = vals[order]
     vecs = vecs[:, order]
@@ -137,6 +119,22 @@ def bottom_k_eigs(lap: NormalizedLaplacian, k: int,
     _validate(P, vals[:k], lap)
     return Embedding(k=k, n=n, P=P, eigenvalues=vals[:k],
                      lambda_next=float(vals[k]))
+
+
+def cached_embedding(graph: WeightedGraph, k: int, solve) -> Embedding:
+    """The graph's bottom-k embedding, from ``solve()`` on the first call.
+
+    The result is kept on the graph, keyed by k, with read-only arrays, so
+    later calls with the same k share it.  Two threads making the first
+    call at once may both solve; either result is kept.
+    """
+    emb = graph._embeddings.get(k)
+    if emb is None:
+        emb = solve()
+        emb.P.flags.writeable = False
+        emb.eigenvalues.flags.writeable = False
+        graph._embeddings[k] = emb
+    return emb
 
 
 def gap_diagnostics(embedding: Embedding, profile):

@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._errors import InvalidGraphError
-from .eigen import Embedding, bottom_k_eigs
-from .graph import NormalizedLaplacian, Partition, WeightedGraph, normalized_laplacian
+from .eigen import Embedding, bottom_k_eigs, cached_embedding
+from .graph import Partition, WeightedGraph, normalized_laplacian
 from .mvee import DEFAULT_EPS, DEFAULT_TAU_ACTIVE, solve_mvee
 from .spa import spa_select
 
@@ -92,17 +92,20 @@ def group_columns(P, mvee_eps: float = DEFAULT_EPS,
     )
 
 
+def graph_embedding(graph: WeightedGraph, k: int) -> Embedding:
+    """The graph's bottom-k embedding, solved on the first call for this k."""
+    return cached_embedding(
+        graph, k, lambda: bottom_k_eigs(normalized_laplacian(graph), k))
+
+
 def elli_cluster(graph: WeightedGraph, k: int,
                  mvee_eps: float = DEFAULT_EPS,
-                 tau_active: float = DEFAULT_TAU_ACTIVE,
-                 dense_threshold: int | None = None) -> ElliResult:
-    """Full pipeline: embed via the normalized Laplacian, then group."""
+                 tau_active: float = DEFAULT_TAU_ACTIVE) -> ElliResult:
+    """Full pipeline: the graph's bottom-k embedding, then the grouping."""
     if not 1 <= k < graph.n:
         raise ValueError(f"need 1 <= k < n, got k={k}, n={graph.n}")
     t0 = time.perf_counter()
-    lap = normalized_laplacian(graph)
-    kwargs = {} if dense_threshold is None else {"dense_threshold": dense_threshold}
-    emb = bottom_k_eigs(lap, k, **kwargs)
+    emb = graph_embedding(graph, k)
     t1 = time.perf_counter()
     result = group_columns(emb, mvee_eps=mvee_eps, tau_active=tau_active)
     result.timings["embed_s"] = t1 - t0

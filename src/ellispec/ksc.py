@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .eigen import bottom_k_eigs
+from .eigen import bottom_k_eigs, cached_embedding
 from .graph import Partition, WeightedGraph, normalized_laplacian
 
 __all__ = ["KscRun", "kmeanspp_seed", "lloyd", "ksc_cluster"]
@@ -120,23 +120,23 @@ def lloyd(points: np.ndarray, k: int, centers: np.ndarray,
     )
 
 
-def scaled_embedding(graph: WeightedGraph, k: int,
-                     dense_threshold: int | None = None):
-    """Embedding columns scaled by 1/sqrt(d_i), plus the next eigenvalue."""
-    lap = normalized_laplacian(graph)
-    kwargs = {} if dense_threshold is None else {"dense_threshold": dense_threshold}
-    emb = bottom_k_eigs(lap, k, **kwargs)
+def scaled_embedding(graph: WeightedGraph, k: int):
+    """Embedding columns scaled by 1/sqrt(d_i), plus the embedding itself.
+
+    The embedding is the graph's shared one (``cached_embedding``).
+    """
+    emb = cached_embedding(
+        graph, k, lambda: bottom_k_eigs(normalized_laplacian(graph), k))
     points = emb.P / np.sqrt(graph.degrees)[None, :]
     return points, emb
 
 
 def ksc_cluster(graph: WeightedGraph, k: int, trials: int = 1, seed: int = 0,
-                max_iter: int = MAX_ITER,
-                dense_threshold: int | None = None) -> list[KscRun]:
+                max_iter: int = MAX_ITER) -> list[KscRun]:
     """Embed once, then run independently seeded k-means++/Lloyd trials."""
     if not 1 <= k < graph.n:
         raise ValueError(f"need 1 <= k < n, got k={k}, n={graph.n}")
-    points, emb = scaled_embedding(graph, k, dense_threshold=dense_threshold)
+    points, emb = scaled_embedding(graph, k)
     runs = []
     for t in range(trials):
         rng = np.random.default_rng([seed, t])

@@ -4,13 +4,18 @@ import scipy.linalg
 import scipy.sparse as sp
 
 from ellispec import (
+    InvalidGraphError,
     Partition,
     WeightedGraph,
+    accuracy,
     bottom_k_eigs,
+    elli_cluster,
     gap_diagnostics,
     normalized_laplacian,
     partition_profile,
+    synth_adjacency,
 )
+from ellispec.eigen import DENSE_THRESHOLD
 
 from conftest import random_graph
 
@@ -58,17 +63,53 @@ def test_embedding_invariants(rng):
         assert emb.lambda_next >= emb.eigenvalues[-1] - 1e-12
 
 
-def test_lanczos_matches_dense(rng):
+def test_arpack_matches_dense(rng):
     for _ in range(5):
         n = int(rng.integers(40, 120))
         k = int(rng.integers(2, 6))
         lap = normalized_laplacian(random_graph(rng, n, density=0.1))
         dense = bottom_k_eigs(lap, k)
-        lanczos = bottom_k_eigs(lap, k, dense_threshold=1)
-        assert np.abs(dense.eigenvalues - lanczos.eigenvalues).max() < 1e-8
-        assert abs(dense.lambda_next - lanczos.lambda_next) < 1e-8
-        angles = scipy.linalg.subspace_angles(dense.P.T, lanczos.P.T)
+        arpack = bottom_k_eigs(lap, k, dense_threshold=1)
+        assert np.abs(dense.eigenvalues - arpack.eigenvalues).max() < 1e-8
+        assert abs(dense.lambda_next - arpack.lambda_next) < 1e-8
+        angles = scipy.linalg.subspace_angles(dense.P.T, arpack.P.T)
         assert angles.max() < 1e-6
+
+
+def test_arpack_matches_dense_on_dense_storage(rng):
+    # above half density the normalized adjacency is held as a dense array
+    n, k = 60, 4
+    lap = normalized_laplacian(random_graph(rng, n, density=0.9))
+    assert isinstance(lap.adjacency, np.ndarray)
+    dense = bottom_k_eigs(lap, k)
+    arpack = bottom_k_eigs(lap, k, dense_threshold=1)
+    assert abs(dense.lambda_next - arpack.lambda_next) < 1e-8
+    angles = scipy.linalg.subspace_angles(dense.P.T, arpack.P.T)
+    assert angles.max() < 1e-6
+
+
+def test_arpack_on_disconnected_graph():
+    # 20 components: the eigenvalue 0 has multiplicity 20, which a
+    # single-vector Krylov method cannot resolve without deflation
+    inst = synth_adjacency([110] * 20, 0.0, 0)
+    lap = normalized_laplacian(inst.graph)
+    assert lap.n > DENSE_THRESHOLD
+    arpack = bottom_k_eigs(lap, 20)
+    dense = bottom_k_eigs(lap, 20, dense_threshold=lap.n)
+    assert np.all(np.abs(arpack.eigenvalues) < 1e-10)
+    assert abs(arpack.lambda_next - dense.lambda_next) < 1e-8
+    assert accuracy(elli_cluster(inst.graph, 20).partition, inst.truth) == 1.0
+
+
+@pytest.mark.parametrize("dense_threshold", [DENSE_THRESHOLD, 1])
+def test_more_components_than_k(dense_threshold):
+    triangle = np.ones((3, 3)) - np.eye(3)
+    lap = normalized_laplacian(WeightedGraph(sp.block_diag([triangle] * 4)))
+    with pytest.raises(InvalidGraphError, match="4 connected components"):
+        bottom_k_eigs(lap, 2, dense_threshold=dense_threshold)
+    emb = bottom_k_eigs(lap, 4, dense_threshold=dense_threshold)
+    assert np.all(np.abs(emb.eigenvalues) < 1e-10)
+    assert emb.lambda_next == pytest.approx(1.5)
 
 
 def test_permutation_invariance_as_subspace(rng):

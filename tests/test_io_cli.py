@@ -186,6 +186,19 @@ class TestCliPipeline:
         assert len(recs) == 2
         assert {r["delta"] for r in recs} == {0.0, 0.5}
 
+    def test_sweep_records_match_across_thread_counts(self, tmp_path):
+        timing = {"elli_elapsed_s", "ksc_elapsed_s"}
+        batches = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"sweep{threads}.json"
+            assert main(["sweep", "--sizes", "12x3", "--deltas", "0.0,0.3,0.6",
+                         "--trials", "4", "--seed", "5", "--threads", threads,
+                         "--json", str(out)]) == 0
+            batches.append([{key: v for key, v in r.items() if key not in timing}
+                            for r in read_json_lines(out)])
+        assert len(batches[0]) == 3
+        assert batches[0] == batches[1]
+
 
 class TestCliExitCodes:
     def test_missing_required_argument_is_usage(self, capsys, tmp_path):
