@@ -7,7 +7,7 @@ class EllispecError(Exception):
 
 class InvalidGraphError(EllispecError):
     """The input graph violates a structural requirement (zero degree,
-    asymmetry, nonpositive weight, ...)."""
+    asymmetry, nonpositive or non-finite weight, ...)."""
 
 
 class InvalidPartitionError(EllispecError):

@@ -2,9 +2,7 @@
 
 Dense symmetric solver up to a size threshold; ARPACK on the normalized
 adjacency above it, with the known null space deflated.  Always retrieves
-k+1 eigenpairs so the next eigenvalue is available for diagnostics.  Each
-graph keeps the embeddings solved for it, so both clustering algorithms
-share one solve per k.
+k+1 eigenpairs so the next eigenvalue is available for diagnostics.
 """
 
 from __future__ import annotations
@@ -16,9 +14,9 @@ import scipy.linalg
 import scipy.sparse.linalg
 
 from ._errors import ConvergenceError, InvalidGraphError
-from .graph import NormalizedLaplacian, WeightedGraph
+from .graph import NormalizedLaplacian
 
-__all__ = ["Embedding", "bottom_k_eigs", "cached_embedding", "gap_diagnostics"]
+__all__ = ["Embedding", "bottom_k_eigs", "gap_diagnostics"]
 
 DENSE_THRESHOLD = 2048
 RESIDUAL_TOL = 1e-10
@@ -56,12 +54,6 @@ def _validate(P, vals, lap, tol=1e-8):
         )
 
 
-def _dense_eigs(lap, k):
-    dense = lap.toarray()
-    vals, vecs = scipy.linalg.eigh(dense, subset_by_index=[0, k])
-    return vals, vecs
-
-
 def _arpack_eigs(lap, k):
     """ARPACK on S = I - L for the k+1 smallest pairs of L.
 
@@ -92,9 +84,10 @@ def _arpack_eigs(lap, k):
             np.hstack([z.toarray(), vecs]))
 
 
-def bottom_k_eigs(lap: NormalizedLaplacian, k: int,
-                  dense_threshold: int = DENSE_THRESHOLD) -> Embedding:
+def bottom_k_eigs(lap: NormalizedLaplacian, k: int) -> Embedding:
     """Compute the k smallest eigenpairs plus the (k+1)th eigenvalue.
+
+    Dense ``eigh`` on graphs of at most DENSE_THRESHOLD nodes, ARPACK above.
 
     Raises InvalidGraphError when the graph has more than k connected
     components: the eigenvalue 0 then has multiplicity above k.
@@ -108,8 +101,8 @@ def bottom_k_eigs(lap: NormalizedLaplacian, k: int,
             f"graph has {components} connected components, more than k={k}: "
             f"its bottom-{k} eigenspace is not unique"
         )
-    if n <= dense_threshold:
-        vals, vecs = _dense_eigs(lap, k)
+    if n <= DENSE_THRESHOLD:
+        vals, vecs = scipy.linalg.eigh(lap.toarray(), subset_by_index=[0, k])
     else:
         vals, vecs = _arpack_eigs(lap, k)
     order = np.argsort(vals)
@@ -119,22 +112,6 @@ def bottom_k_eigs(lap: NormalizedLaplacian, k: int,
     _validate(P, vals[:k], lap)
     return Embedding(k=k, n=n, P=P, eigenvalues=vals[:k],
                      lambda_next=float(vals[k]))
-
-
-def cached_embedding(graph: WeightedGraph, k: int, solve) -> Embedding:
-    """The graph's bottom-k embedding, from ``solve()`` on the first call.
-
-    The result is kept on the graph, keyed by k, with read-only arrays, so
-    later calls with the same k share it.  Two threads making the first
-    call at once may both solve; either result is kept.
-    """
-    emb = graph._embeddings.get(k)
-    if emb is None:
-        emb = solve()
-        emb.P.flags.writeable = False
-        emb.eigenvalues.flags.writeable = False
-        graph._embeddings[k] = emb
-    return emb
 
 
 def gap_diagnostics(embedding: Embedding, profile):

@@ -15,12 +15,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._errors import InvalidGraphError
-from .eigen import Embedding, bottom_k_eigs, cached_embedding
+from .eigen import Embedding, bottom_k_eigs
 from .graph import Partition, WeightedGraph, normalized_laplacian
 from .mvee import DEFAULT_EPS, DEFAULT_TAU_ACTIVE, solve_mvee
 from .spa import spa_select
 
-__all__ = ["ElliResult", "group_columns", "elli_cluster", "alpha_theta_profile"]
+__all__ = ["ElliResult", "group_columns", "graph_embedding", "elli_cluster",
+           "alpha_theta_profile"]
 
 
 @dataclass
@@ -93,17 +94,25 @@ def group_columns(P, mvee_eps: float = DEFAULT_EPS,
 
 
 def graph_embedding(graph: WeightedGraph, k: int) -> Embedding:
-    """The graph's bottom-k embedding, solved on the first call for this k."""
-    return cached_embedding(
-        graph, k, lambda: bottom_k_eigs(normalized_laplacian(graph), k))
+    """The graph's bottom-k embedding, solved on the first call for this k.
+
+    The result is kept on the graph, keyed by k, with read-only arrays, so
+    both algorithms and the CLI share one solve.  Two threads making the
+    first call at once may both solve; either result is kept.
+    """
+    emb = graph._embeddings.get(k)
+    if emb is None:
+        emb = bottom_k_eigs(normalized_laplacian(graph), k)
+        emb.P.flags.writeable = False
+        emb.eigenvalues.flags.writeable = False
+        graph._embeddings[k] = emb
+    return emb
 
 
 def elli_cluster(graph: WeightedGraph, k: int,
                  mvee_eps: float = DEFAULT_EPS,
                  tau_active: float = DEFAULT_TAU_ACTIVE) -> ElliResult:
     """Full pipeline: the graph's bottom-k embedding, then the grouping."""
-    if not 1 <= k < graph.n:
-        raise ValueError(f"need 1 <= k < n, got k={k}, n={graph.n}")
     t0 = time.perf_counter()
     emb = graph_embedding(graph, k)
     t1 = time.perf_counter()

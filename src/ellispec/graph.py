@@ -29,7 +29,7 @@ class WeightedGraph:
     degree vector d_i = sum_j w(i, j).  Self-loops are allowed and count
     toward the degree but never toward any cut.  Every node must have
     positive degree.  Instances are immutable after construction; they
-    keep the spectral embeddings solved for them (``cached_embedding``).
+    keep the spectral embeddings solved for them (``elli.graph_embedding``).
     """
 
     def __init__(self, adjacency):
@@ -38,10 +38,12 @@ class WeightedGraph:
         a.eliminate_zeros()  # an explicitly stored zero is simply no edge
         if a.shape[0] != a.shape[1]:
             raise InvalidGraphError(f"adjacency must be square, got {a.shape}")
-        if a.nnz and a.data.min() < 0.0:
-            bad = int(np.argmin(a.data))
+        # NaN fails both comparisons, inf the second
+        bad = np.flatnonzero(~((a.data > 0.0) & (a.data < np.inf)))
+        if bad.size:
             raise InvalidGraphError(
-                f"all stored weights must be positive; found {a.data[bad]}"
+                f"all stored weights must be finite and positive; "
+                f"found {a.data[bad[0]]}"
             )
         if (a != a.T).nnz != 0:
             raise InvalidGraphError("adjacency matrix must be symmetric")
@@ -86,12 +88,6 @@ class WeightedGraph:
     @property
     def degrees(self):
         return self._degrees
-
-    def entries(self):
-        """Yield (i, j, w) once per unordered stored pair, i <= j."""
-        coo = sp.triu(self._adj).tocoo()
-        for i, j, w in zip(coo.row, coo.col, coo.data):
-            yield int(i), int(j), float(w)
 
 
 class Partition:

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .eigen import bottom_k_eigs, cached_embedding
-from .graph import Partition, WeightedGraph, normalized_laplacian
+from .elli import graph_embedding
+from .graph import Partition, WeightedGraph
 
 __all__ = ["KscRun", "kmeanspp_seed", "lloyd", "ksc_cluster"]
 
@@ -77,7 +77,11 @@ def _assign(points, centers):
 
 def lloyd(points: np.ndarray, k: int, centers: np.ndarray,
           max_iter: int = MAX_ITER, seed=None) -> KscRun:
-    """Lloyd iterations from given centers; cost is non-increasing.
+    """Lloyd iterations from given centers.
+
+    The cost is non-increasing in exact arithmetic.  In floating point the
+    expanded distance |p|^2 + |c|^2 - 2 p.c can round it upward near zero
+    cost (e.g. 3.85e-18 then 5.20e-18 when the points sit on their centers).
 
     Stops at an assignment fixpoint or after max_iter iterations.  Empty
     clusters are processed in ascending cluster-index order: each receives
@@ -120,23 +124,12 @@ def lloyd(points: np.ndarray, k: int, centers: np.ndarray,
     )
 
 
-def scaled_embedding(graph: WeightedGraph, k: int):
-    """Embedding columns scaled by 1/sqrt(d_i), plus the embedding itself.
-
-    The embedding is the graph's shared one (``cached_embedding``).
-    """
-    emb = cached_embedding(
-        graph, k, lambda: bottom_k_eigs(normalized_laplacian(graph), k))
-    points = emb.P / np.sqrt(graph.degrees)[None, :]
-    return points, emb
-
-
 def ksc_cluster(graph: WeightedGraph, k: int, trials: int = 1, seed: int = 0,
                 max_iter: int = MAX_ITER) -> list[KscRun]:
-    """Embed once, then run independently seeded k-means++/Lloyd trials."""
-    if not 1 <= k < graph.n:
-        raise ValueError(f"need 1 <= k < n, got k={k}, n={graph.n}")
-    points, emb = scaled_embedding(graph, k)
+    """Scale column i of the graph's shared embedding by 1/sqrt(d_i), then
+    run independently seeded k-means++/Lloyd trials."""
+    emb = graph_embedding(graph, k)
+    points = emb.P / np.sqrt(graph.degrees)[None, :]
     runs = []
     for t in range(trials):
         rng = np.random.default_rng([seed, t])

@@ -19,7 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._errors import ConvergenceError, RankError
+from ._errors import ConvergenceError
+from .spa import spa_select
 
 __all__ = ["Ellipsoid", "solve_mvee", "active_indices"]
 
@@ -42,24 +43,6 @@ class Ellipsoid:
         return self.X.shape[0]
 
 
-def _greedy_init_support(P, k):
-    """k columns spanning R^k, chosen by repeated max-norm with projection."""
-    residual = P.copy()
-    chosen = []
-    for step in range(k):
-        norms = np.einsum("ij,ij->j", residual, residual)
-        j = int(np.argmax(norms))
-        if norms[j] <= 1e-24:
-            raise RankError(
-                f"input columns have numerical rank {step}, need {k}",
-                numerical_rank=step,
-            )
-        chosen.append(j)
-        q = residual[:, j] / math.sqrt(norms[j])
-        residual -= np.outer(q, q @ residual)
-    return chosen
-
-
 def solve_mvee(P: np.ndarray, eps: float = DEFAULT_EPS,
                tau_active: float = DEFAULT_TAU_ACTIVE,
                max_iter: int | None = None) -> Ellipsoid:
@@ -76,9 +59,10 @@ def solve_mvee(P: np.ndarray, eps: float = DEFAULT_EPS,
     if max_iter is None:
         max_iter = max(1000, int(100 * k * math.log(max(n, 2))))
 
-    support = _greedy_init_support(P, k)
+    # the successive-projection pick of k columns spans R^k (a core-set
+    # start); it raises RankError when the columns do not
     u = np.zeros(n)
-    u[support] = 1.0 / k
+    u[spa_select(P, range(n), k)] = 1.0 / k
 
     def factorize(u):
         M = (P * u[None, :]) @ P.T
@@ -87,12 +71,13 @@ def solve_mvee(P: np.ndarray, eps: float = DEFAULT_EPS,
     Minv = factorize(u)
     g = np.einsum("ij,ji->i", P.T @ Minv, P)
 
-    for it in range(1, max_iter + 1):
+    iterations = 0
+    while iterations < max_iter:
         j_add = int(np.argmax(g))
         g_add = g[j_add]
-        gap = g_add / k - 1.0
-        if gap <= eps:
+        if g_add / k - 1.0 <= eps:
             break
+        iterations += 1
 
         # candidate away step: smallest g over the current support
         sup = np.flatnonzero(u > 0)
@@ -115,7 +100,7 @@ def solve_mvee(P: np.ndarray, eps: float = DEFAULT_EPS,
         u[j] += beta
         u[u < 0] = 0.0
 
-        if it % REFACTOR_PERIOD == 0:
+        if iterations % REFACTOR_PERIOD == 0:
             Minv = factorize(u)
             g = np.einsum("ij,ji->i", P.T @ Minv, P)
         else:
@@ -126,23 +111,16 @@ def solve_mvee(P: np.ndarray, eps: float = DEFAULT_EPS,
             Minv = (Minv - (beta / denom) * np.outer(Mp, Mp)) / (1.0 - beta)
             PtMp = P.T @ Mp
             g = (g - (beta / denom) * PtMp**2) / (1.0 - beta)
-    else:
-        Minv = factorize(u)
-        g = np.einsum("ij,ji->i", P.T @ Minv, P)
-        gap = g.max() / k - 1.0
-        if gap > eps:
-            raise ConvergenceError(
-                f"MVEE solver stopped after {max_iter} iterations with "
-                f"relative gap {gap:.3e} > {eps:.1e}",
-                achieved=gap,
-            )
 
+    # the certificate is checked on a fresh factorization, not on the
+    # rank-one updated inverse
     Minv = factorize(u)
     g = np.einsum("ij,ji->i", P.T @ Minv, P)
     gap = float(g.max() / k - 1.0)
     if gap > eps:
         raise ConvergenceError(
-            f"MVEE certificate not met: relative gap {gap:.3e} > {eps:.1e}",
+            f"MVEE solver stopped after {iterations} iterations with "
+            f"relative gap {gap:.3e} > {eps:.1e}",
             achieved=gap,
         )
     X = Minv / k

@@ -78,32 +78,27 @@ def synth_adjacency(sizes, delta, rng, permute=False) -> SynthInstance:
     ``rng`` is a seeded numpy Generator or an integer seed.  With
     ``permute`` the node ids are shuffled (ground truth follows), which
     stresses label-invariance; by default clusters are contiguous ranges.
+    The instance is the one-point ``delta_sweep`` with the same arguments.
     """
-    if not 0.0 <= delta <= 2.0:
-        raise ValueError(f"delta must lie in [0, 2], got {delta}")
-    sizes = [int(s) for s in sizes]
-    if any(s < 1 for s in sizes):
-        raise ValueError("every cluster size must be at least 1")
-    if isinstance(rng, (int, np.integer)):
-        rng = np.random.default_rng(rng)
-    n, k = sum(sizes), len(sizes)
-    m = _sample_m(n, rng)
-    labels = _block_labels(sizes)
-    perm = rng.permutation(n) if permute else None
-    graph, truth = _assemble(m, labels, k, delta, perm)
-    c = _cluster_constants(m, labels, k)
-    return SynthInstance(graph=graph, truth=truth, delta=float(delta),
-                         c=c, c_min=float(c.min()))
+    return next(delta_sweep(sizes, [delta], rng, permute))
 
 
 def delta_sweep(sizes, deltas=DEFAULT_DELTAS, seed=0, permute=False):
     """Yield instances for each delta, all built from one shared M.
 
     Reusing a single M per seed isolates the effect of delta, so curves
-    over the sweep are smooth.
+    over the sweep are smooth.  ``seed`` is anything ``default_rng``
+    accepts, a Generator included.  Sizes and deltas are checked before
+    M is drawn.
     """
-    rng = np.random.default_rng(seed)
     sizes = [int(s) for s in sizes]
+    if any(s < 1 for s in sizes):
+        raise ValueError("every cluster size must be at least 1")
+    deltas = [float(d) for d in deltas]
+    for delta in deltas:
+        if not 0.0 <= delta <= 2.0:
+            raise ValueError(f"delta must lie in [0, 2], got {delta}")
+    rng = np.random.default_rng(seed)
     n, k = sum(sizes), len(sizes)
     m = _sample_m(n, rng)
     labels = _block_labels(sizes)
@@ -111,10 +106,8 @@ def delta_sweep(sizes, deltas=DEFAULT_DELTAS, seed=0, permute=False):
     c = _cluster_constants(m, labels, k)
     c_min = float(c.min())
     for delta in deltas:
-        if not 0.0 <= delta <= 2.0:
-            raise ValueError(f"delta must lie in [0, 2], got {delta}")
         graph, truth = _assemble(m, labels, k, delta, perm)
-        yield SynthInstance(graph=graph, truth=truth, delta=float(delta),
+        yield SynthInstance(graph=graph, truth=truth, delta=delta,
                             c=c, c_min=c_min)
 
 

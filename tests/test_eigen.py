@@ -15,6 +15,7 @@ from ellispec import (
     partition_profile,
     synth_adjacency,
 )
+import ellispec.eigen
 from ellispec.eigen import DENSE_THRESHOLD
 
 from conftest import random_graph
@@ -63,51 +64,59 @@ def test_embedding_invariants(rng):
         assert emb.lambda_next >= emb.eigenvalues[-1] - 1e-12
 
 
-def test_arpack_matches_dense(rng):
+def eigs_with_threshold(monkeypatch, threshold, lap, k):
+    """bottom_k_eigs with the dense/ARPACK size cutoff set to ``threshold``."""
+    with monkeypatch.context() as m:
+        m.setattr(ellispec.eigen, "DENSE_THRESHOLD", threshold)
+        return bottom_k_eigs(lap, k)
+
+
+def test_arpack_matches_dense(rng, monkeypatch):
     for _ in range(5):
         n = int(rng.integers(40, 120))
         k = int(rng.integers(2, 6))
         lap = normalized_laplacian(random_graph(rng, n, density=0.1))
         dense = bottom_k_eigs(lap, k)
-        arpack = bottom_k_eigs(lap, k, dense_threshold=1)
+        arpack = eigs_with_threshold(monkeypatch, 1, lap, k)
         assert np.abs(dense.eigenvalues - arpack.eigenvalues).max() < 1e-8
         assert abs(dense.lambda_next - arpack.lambda_next) < 1e-8
         angles = scipy.linalg.subspace_angles(dense.P.T, arpack.P.T)
         assert angles.max() < 1e-6
 
 
-def test_arpack_matches_dense_on_dense_storage(rng):
+def test_arpack_matches_dense_on_dense_storage(rng, monkeypatch):
     # above half density the normalized adjacency is held as a dense array
     n, k = 60, 4
     lap = normalized_laplacian(random_graph(rng, n, density=0.9))
     assert isinstance(lap.adjacency, np.ndarray)
     dense = bottom_k_eigs(lap, k)
-    arpack = bottom_k_eigs(lap, k, dense_threshold=1)
+    arpack = eigs_with_threshold(monkeypatch, 1, lap, k)
     assert abs(dense.lambda_next - arpack.lambda_next) < 1e-8
     angles = scipy.linalg.subspace_angles(dense.P.T, arpack.P.T)
     assert angles.max() < 1e-6
 
 
-def test_arpack_on_disconnected_graph():
+def test_arpack_on_disconnected_graph(monkeypatch):
     # 20 components: the eigenvalue 0 has multiplicity 20, which a
     # single-vector Krylov method cannot resolve without deflation
     inst = synth_adjacency([110] * 20, 0.0, 0)
     lap = normalized_laplacian(inst.graph)
     assert lap.n > DENSE_THRESHOLD
     arpack = bottom_k_eigs(lap, 20)
-    dense = bottom_k_eigs(lap, 20, dense_threshold=lap.n)
+    dense = eigs_with_threshold(monkeypatch, lap.n, lap, 20)
     assert np.all(np.abs(arpack.eigenvalues) < 1e-10)
     assert abs(arpack.lambda_next - dense.lambda_next) < 1e-8
     assert accuracy(elli_cluster(inst.graph, 20).partition, inst.truth) == 1.0
 
 
 @pytest.mark.parametrize("dense_threshold", [DENSE_THRESHOLD, 1])
-def test_more_components_than_k(dense_threshold):
+def test_more_components_than_k(dense_threshold, monkeypatch):
+    monkeypatch.setattr(ellispec.eigen, "DENSE_THRESHOLD", dense_threshold)
     triangle = np.ones((3, 3)) - np.eye(3)
     lap = normalized_laplacian(WeightedGraph(sp.block_diag([triangle] * 4)))
     with pytest.raises(InvalidGraphError, match="4 connected components"):
-        bottom_k_eigs(lap, 2, dense_threshold=dense_threshold)
-    emb = bottom_k_eigs(lap, 4, dense_threshold=dense_threshold)
+        bottom_k_eigs(lap, 2)
+    emb = bottom_k_eigs(lap, 4)
     assert np.all(np.abs(emb.eigenvalues) < 1e-10)
     assert emb.lambda_next == pytest.approx(1.5)
 

@@ -115,6 +115,11 @@ class TestElliCluster:
         with pytest.raises(ValueError):
             elli_cluster(inst.graph, 10)
 
+    def test_k_zero_rejected(self):
+        inst = synth_adjacency([5, 5], 0.5, 2)
+        with pytest.raises(ValueError, match="1 <= k < n"):
+            elli_cluster(inst.graph, 0)
+
     def test_lambda_next_attached(self):
         inst = synth_adjacency([20, 20], 0.3, 4)
         result = elli_cluster(inst.graph, 2)

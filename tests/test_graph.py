@@ -35,6 +35,12 @@ class TestWeightedGraph:
         with pytest.raises(InvalidGraphError):
             WeightedGraph.from_entries(2, [(0, 1, -1.0)])
 
+    @pytest.mark.parametrize("weight", [np.inf, np.nan])
+    def test_non_finite_weight_rejected_and_named(self, weight):
+        m = np.array([[0.0, 1.0, weight], [1.0, 0.0, 1.0], [weight, 1.0, 0.0]])
+        with pytest.raises(InvalidGraphError, match=f"finite.*found {weight}"):
+            WeightedGraph(sp.csr_matrix(m))
+
     def test_zero_degree_rejected_and_named(self):
         m = np.zeros((3, 3))
         m[0, 1] = m[1, 0] = 1.0

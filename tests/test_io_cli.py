@@ -228,6 +228,20 @@ class TestCliExitCodes:
                      "--k", "2", "--truth", str(bad),
                      "--json", str(tmp_path / "c.json")]) == 5
 
+    @pytest.mark.parametrize("weight", ["inf", "nan"])
+    def test_non_finite_weight_is_invalid_graph(self, weight, tmp_path, capsys):
+        path = tmp_path / "nonfinite.mtx"
+        path.write_text(
+            "%%MatrixMarket matrix coordinate real symmetric\n"
+            "3 3 3\n"
+            f"2 1 {weight}\n"
+            "3 1 1.0\n"
+            "3 2 1.0\n"
+        )
+        assert main(["cluster", "--algo", "elli", "--graph", str(path),
+                     "--k", "2"]) == 5
+        assert f"found {weight}" in capsys.readouterr().err
+
     def test_asymmetric_matrix_is_invalid_graph(self, tmp_path):
         path = tmp_path / "asym.mtx"
         path.write_text(

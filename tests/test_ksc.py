@@ -118,6 +118,7 @@ class TestKscCluster:
         assert np.mean(acs) >= 0.9
 
     def test_k_out_of_range(self):
-        inst = synth_adjacency([5, 5], 0.5, 2)
-        with pytest.raises(ValueError):
-            ksc_cluster(inst.graph, 10)
+        graph = synth_adjacency([5, 5], 0.5, 2).graph
+        for k in (0, graph.n):
+            with pytest.raises(ValueError, match="1 <= k < n"):
+                ksc_cluster(graph, k)

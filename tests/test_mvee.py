@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ellispec import RankError, active_indices, solve_mvee
+from ellispec import ConvergenceError, RankError, active_indices, solve_mvee
 
 from conftest import random_orthogonal
 
@@ -85,6 +85,14 @@ def test_rank_deficient_rejected(rng):
     with pytest.raises(RankError) as err:
         solve_mvee(P)
     assert err.value.numerical_rank == 2
+
+
+def test_budget_failure_reports_iterations_and_gap(rng):
+    P = rng.standard_normal((4, 60))
+    with pytest.raises(ConvergenceError, match="after 3 iterations") as err:
+        solve_mvee(P, max_iter=3)
+    assert err.value.achieved > 1e-7
+    assert f"{err.value.achieved:.3e}" in str(err.value)
 
 
 def test_matches_convex_oracle(rng):

@@ -110,6 +110,20 @@ class TestSweep:
             assert np.all(sub[~np.eye(len(members), dtype=bool)] > 0.0)
 
 
+@pytest.mark.parametrize("permute", [False, True])
+def test_single_instance_is_one_point_sweep(permute):
+    sizes = [6, 8, 5]
+    one = synth_adjacency(sizes, 0.3, np.random.default_rng(17), permute=permute)
+    swept = next(delta_sweep(sizes, [0.3], seed=17, permute=permute))
+    a, b = one.graph.adjacency, swept.graph.adjacency
+    assert np.array_equal(a.indptr, b.indptr)
+    assert np.array_equal(a.indices, b.indices)
+    assert np.array_equal(a.data, b.data)
+    assert np.array_equal(one.truth.labels, swept.truth.labels)
+    assert np.array_equal(one.c, swept.c)
+    assert one.c_min == swept.c_min and one.delta == swept.delta
+
+
 class TestValidation:
     def test_delta_out_of_range(self):
         with pytest.raises(ValueError):
@@ -120,6 +134,14 @@ class TestValidation:
     def test_bad_sizes(self):
         with pytest.raises(ValueError):
             synth_adjacency([4, 0], 0.5, 0)
+
+    def test_sweep_checks_sizes_before_sampling(self):
+        with pytest.raises(ValueError, match="at least 1"):
+            next(delta_sweep([0, 5], [0.5], seed=0))
+
+    def test_sweep_checks_every_delta_before_sampling(self):
+        with pytest.raises(ValueError, match="2.5"):
+            next(delta_sweep([4, 4], [0.5, 2.5], seed=0))
 
     def test_seed_reproducibility(self):
         a = synth_adjacency([5, 5], 0.9, 123)
