@@ -12,6 +12,7 @@ import csv as csvmod
 import json
 import os
 import sys
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -221,17 +222,21 @@ def _cmd_sweep(args):
         raise ValueError("sweep needs --suite or --sizes")
     algos = args.algos.split(",")
     deltas = _parse_deltas(args.deltas) if args.deltas else None
-    instances = list(
+    instances = (
         delta_sweep(sizes, seed=args.seed)
         if deltas is None else delta_sweep(sizes, deltas, seed=args.seed)
     )
     threads = args.threads or int(os.environ.get("ELLISPEC_THREADS", "0")) \
         or (os.cpu_count() or 1)
+    # at most `threads` points in flight; each instance, with its adjacency
+    # and embedding, is dropped once its row exists
+    rows, pending = [], deque()
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        rows = list(pool.map(
-            lambda inst: _sweep_point(inst, algos, args.trials, args.seed),
-            instances,
-        ))
+        for inst in instances:
+            pending.append(pool.submit(_sweep_point, inst, algos, args.trials, args.seed))
+            if len(pending) == threads:
+                rows.append(pending.popleft().result())
+        rows.extend(future.result() for future in pending)
     records = []
     for row in rows:
         record = {"algo": "sweep", "k": len(sizes), "seed": args.seed,

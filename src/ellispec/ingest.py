@@ -15,6 +15,10 @@ __all__ = ["VectorDataset", "load_csv", "load_vds", "cosine_knn_graph"]
 
 _VDS_MAGIC = b"VDS1"
 
+# Rows of the similarity matrix held at once by cosine_knn_graph; the
+# fastest of 32-2048 at n=5000, d=64, p=10 on one BLAS thread.
+KNN_BLOCK_ROWS = 128
+
 
 @dataclass
 class VectorDataset:
@@ -27,6 +31,10 @@ class VectorDataset:
         self.X = np.asarray(self.X, dtype=np.float64)
         if self.X.ndim != 2:
             raise ValueError("expected a 2-d data matrix")
+        finite = np.isfinite(self.X).all(axis=1)
+        if not finite.all():
+            row = int(np.argmin(finite))
+            raise ValueError(f"row {row} contains a non-finite feature")
         if (self.X < 0).any():
             row = int(np.argwhere((self.X < 0).any(axis=1))[0][0])
             raise ValueError(f"row {row} contains a negative feature")
@@ -85,26 +93,46 @@ def cosine_knn_graph(dataset: VectorDataset, p: int) -> WeightedGraph:
     to j or vice versa; a vector is never its own neighbor.  Ties at the
     p-th rank are all included, so neighbor sets may exceed p.  Zero
     similarities carry no edge; a node left with no edges is rejected.
+
+    Similarities are computed ``KNN_BLOCK_ROWS`` rows at a time, so the
+    working memory is O(B·n + nnz) for block size B, never n×n.
     """
     n = dataset.n
     if not 1 <= p < n:
         raise ValueError(f"need 1 <= p < n, got p={p}, n={n}")
     unit = dataset.X / np.linalg.norm(dataset.X, axis=1)[:, None]
-    sims = unit @ unit.T
-    np.fill_diagonal(sims, -np.inf)
 
-    # p-th largest similarity per row; everything >= it is a neighbor
-    kth = np.partition(sims, n - p, axis=1)[:, n - p]
-    keep = sims >= kth[:, None]
-    keep |= keep.T
-    np.fill_diagonal(sims, 0.0)
-    w = np.where(keep, sims, 0.0)
-    w[w < 0] = 0.0  # numerical dust from the dot products
+    rows, cols, sims = [], [], []
+    for lo in range(0, n, KNN_BLOCK_ROWS):
+        hi = min(lo + KNN_BLOCK_ROWS, n)
+        block = unit[lo:hi] @ unit.T
+        local = np.arange(hi - lo)
+        block[local, local + lo] = -np.inf
+        # p-th largest similarity per row; everything >= it is a neighbor
+        kth = np.partition(block, n - p, axis=1)[:, n - p]
+        r, c = np.nonzero(block >= kth[:, None])
+        rows.append(r + lo)
+        cols.append(c)
+        sims.append(block[r, c])
+    rows, cols, sims = (np.concatenate(v) for v in (rows, cols, sims))
 
-    degrees = w.sum(axis=1)
-    if degrees.min() == 0.0:
-        node = int(np.argmin(degrees))
+    # OR rule: one weight per unordered pair, so the matrix is bitwise
+    # symmetric even where the blocks computed (i, j) and (j, i) apart
+    pairs, first = np.unique(np.minimum(rows, cols) * n + np.maximum(rows, cols),
+                             return_index=True)
+    w = sims[first]
+    positive = w > 0.0  # zero similarities, or numerical dust below them
+    i, j = np.divmod(pairs[positive], n)
+    w = w[positive]
+
+    edges = np.bincount(i, minlength=n) + np.bincount(j, minlength=n)
+    if edges.min() == 0:
+        node = int(np.argmin(edges))
         raise InvalidGraphError(
             f"node {node} has no positively-weighted neighbors"
         )
-    return WeightedGraph(sp.csr_matrix(w))
+    adjacency = sp.csr_matrix(
+        (np.concatenate([w, w]), (np.concatenate([i, j]), np.concatenate([j, i]))),
+        shape=(n, n),
+    )
+    return WeightedGraph(adjacency)

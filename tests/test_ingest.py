@@ -1,7 +1,14 @@
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from ellispec import InvalidGraphError, VectorDataset, cosine_knn_graph, load_csv, load_vds
+from ellispec import ingest
 from ellispec.ingest import save_vds
 
 
@@ -26,6 +33,13 @@ class TestDataset:
     def test_negative_feature_rejected(self):
         with pytest.raises(ValueError, match="row 1"):
             VectorDataset(np.array([[1.0, 2.0], [3.0, -1.0]]))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_feature_rejected(self, value):
+        X = np.ones((3, 2))
+        X[2, 0] = value
+        with pytest.raises(ValueError, match="row 2 contains a non-finite"):
+            VectorDataset(X)
 
     def test_zero_row_rejected(self):
         with pytest.raises(ValueError, match="row 0"):
@@ -81,15 +95,19 @@ class TestFileFormats:
             load_vds(path)
 
 
+def assert_matches_brute_force(X, p):
+    a = cosine_knn_graph(VectorDataset(X), p).adjacency
+    assert (a != a.T).nnz == 0  # bitwise symmetric
+    np.testing.assert_allclose(a.toarray(), brute_cosine_knn(X, p),
+                               rtol=0, atol=1e-12)
+
+
 class TestKnnGraph:
     def test_matches_brute_force(self, rng):
         for _ in range(10):
             n = int(rng.integers(6, 25))
             X = rng.uniform(0.05, 1.0, size=(n, int(rng.integers(3, 8))))
-            p = int(rng.integers(1, n - 1))
-            graph = cosine_knn_graph(VectorDataset(X), p)
-            assert np.allclose(graph.adjacency.toarray(),
-                               brute_cosine_knn(X, p), atol=1e-12)
+            assert_matches_brute_force(X, int(rng.integers(1, n - 1)))
 
     def test_or_rule_keeps_one_sided_neighbors(self):
         # with p=1: node 1 names node 2 but node 2 names node 0, so the
@@ -143,3 +161,86 @@ class TestKnnGraph:
         graph = cosine_knn_graph(VectorDataset(X), 7)
         w = graph.adjacency.toarray()
         assert np.all(w[~np.eye(8, dtype=bool)] > 0.0)
+
+
+class TestKnnBlocks:
+    """Similarities are built three rows at a time, so that edges, ties and
+    the last, short block all fall across block edges."""
+
+    @pytest.fixture(autouse=True)
+    def three_row_blocks(self, monkeypatch):
+        monkeypatch.setattr(ingest, "KNN_BLOCK_ROWS", 3)
+
+    def test_matches_brute_force(self, rng):
+        for n in (6, 7, 8, 13):
+            X = rng.uniform(0.05, 1.0, size=(n, int(rng.integers(3, 8))))
+            assert_matches_brute_force(X, int(rng.integers(1, n - 1)))
+
+    def test_or_edge_across_blocks(self):
+        # p=1: node 6 (block 2) names node 1 (block 0), which names node 0,
+        # so the edge (1, 6) exists only through the OR rule
+        angles = np.array([0.0, 0.05, 1.2, 1.25, 1.5, 1.45, 0.3])
+        X = np.column_stack([np.cos(angles), np.sin(angles)])
+        w = cosine_knn_graph(VectorDataset(X), 1).adjacency.toarray()
+        assert w[1, 6] > 0 and w[0, 6] == 0
+        assert_matches_brute_force(X, 1)
+
+    def test_tie_across_blocks(self):
+        # rows 2 (block 0) and 3 (block 1) tie exactly as row 0's nearest
+        X = np.array([[1.0, 0.0, 0.0],
+                      [0.0, 1.0, 1.0],
+                      [1.0, 1.0, 0.0],
+                      [1.0, 0.0, 1.0]])
+        w = cosine_knn_graph(VectorDataset(X), 1).adjacency.toarray()
+        assert w[0, 2] == w[0, 3] == pytest.approx(np.sqrt(0.5))
+        assert w[0, 1] == 0.0
+        assert_matches_brute_force(X, 1)
+
+    def test_full_p_gives_complete_graph(self, rng):
+        X = rng.uniform(0.1, 1.0, size=(8, 3))
+        w = cosine_knn_graph(VectorDataset(X), 7).adjacency.toarray()
+        assert np.all(w[~np.eye(8, dtype=bool)] > 0.0)
+        assert_matches_brute_force(X, 7)
+
+
+@st.composite
+def knn_inputs(draw):
+    n = draw(st.integers(3, 16))
+    X = draw(arrays(np.float64, (n, draw(st.integers(2, 5))),
+                    elements=st.floats(0.05, 1.0)))
+    return X, draw(st.integers(1, n - 1)), draw(st.integers(1, n + 1))
+
+
+def rank_p_is_separated(X, p):
+    """Whether every row's p-th and (p+1)-th largest similarities differ by
+    more than rounding.  Otherwise a tie in exact arithmetic (duplicate
+    vectors, say) can round apart one way in a product of a block of rows
+    and another way in the full product, and the neighbor sets differ."""
+    unit = X / np.linalg.norm(X, axis=1)[:, None]
+    sims = unit @ unit.T
+    np.fill_diagonal(sims, -np.inf)
+    ranked = -np.sort(-sims, axis=1)
+    return p == X.shape[0] - 1 or bool(np.all(ranked[:, p - 1] - ranked[:, p] > 1e-9))
+
+
+@settings(max_examples=200, deadline=None)
+@given(knn_inputs())
+def test_blocked_build_matches_brute_force(case):
+    X, p, block_rows = case
+    assume(rank_p_is_separated(X, p))
+    with mock.patch.object(ingest, "KNN_BLOCK_ROWS", block_rows):
+        assert_matches_brute_force(X, p)
+
+
+def test_memory_stays_below_one_similarity_matrix():
+    # a quarter of one 4000 x 4000 float64 array; building the whole
+    # similarity matrix peaked at 417 MB here
+    X = np.random.default_rng(0).uniform(0.05, 1.0, size=(4000, 16))
+    dataset = VectorDataset(X)
+    tracemalloc.start()
+    try:
+        cosine_knn_graph(dataset, 10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4000 * 4000 * 8 / 4

@@ -1,5 +1,6 @@
 import csv
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from ellispec import (
     write_graph,
     write_labels,
 )
+from ellispec import cli
 from ellispec.cli import main
 from ellispec.io import write_embedding
 
@@ -199,6 +201,27 @@ class TestCliPipeline:
         assert len(batches[0]) == 3
         assert batches[0] == batches[1]
 
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_sweep_streams_instances(self, threads, tmp_path, monkeypatch):
+        # a point's instance is dropped once its row exists: one more than
+        # the points in flight may be alive while the next one is drawn
+        real_sweep = cli.delta_sweep
+        refs, alive = [], []
+
+        def counting_sweep(*args, **kwargs):
+            for inst in real_sweep(*args, **kwargs):
+                refs.append(weakref.ref(inst))
+                alive.append(sum(ref() is not None for ref in refs))
+                yield inst
+
+        monkeypatch.setattr(cli, "delta_sweep", counting_sweep)
+        out = tmp_path / "sweep.json"
+        assert main(["sweep", "--sizes", "12x3", "--deltas", "0.0,0.2,0.4,0.6,0.8,1.0",
+                     "--algos", "elli", "--threads", str(threads),
+                     "--json", str(out)]) == 0
+        assert len(alive) == 6 and max(alive) <= threads + 1
+        assert [r["delta"] for r in read_json_lines(out)] == [0.0, 0.2, 0.4, 0.6, 0.8, 1.0]
+
 
 class TestCliExitCodes:
     def test_missing_required_argument_is_usage(self, capsys, tmp_path):
@@ -241,6 +264,14 @@ class TestCliExitCodes:
         assert main(["cluster", "--algo", "elli", "--graph", str(path),
                      "--k", "2"]) == 5
         assert f"found {weight}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_feature_is_usage(self, value, tmp_path, capsys):
+        data = tmp_path / "bad.csv"
+        data.write_text(f"1,2\n3,{value}\n2,1\n")
+        assert main(["knn-graph", "--data", str(data), "--p", "1",
+                     "--out", str(tmp_path / "knn.mtx")]) == 2
+        assert "row 1 contains a non-finite feature" in capsys.readouterr().err
 
     def test_asymmetric_matrix_is_invalid_graph(self, tmp_path):
         path = tmp_path / "asym.mtx"
