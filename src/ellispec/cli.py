@@ -2,7 +2,8 @@
 
 Output is machine-readable JSON lines (one record per trial or sweep
 point); sweeps can additionally emit CSV.  Exit codes: 0 success,
-2 usage, 3 I/O, 4 numerical failure, 5 invalid graph or partition.
+1 unexpected internal error (a Python traceback), 2 usage, 3 I/O,
+4 numerical failure, 5 invalid graph or partition.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from .ksc import ksc_cluster
 from .metrics import accuracy, nmi, timed
 from .mvee import DEFAULT_EPS, DEFAULT_TAU_ACTIVE
 from .synth import (
+    DEFAULT_DELTAS,
     conductance_bound,
     delta_sweep,
     standard_suites,
@@ -51,13 +53,6 @@ def _parse_sizes(text):
     if not sizes or any(s < 1 for s in sizes):
         raise ValueError(f"bad --sizes value: {text!r}")
     return sizes
-
-
-def _parse_deltas(text):
-    vals = [float(v) for v in text.split(",")]
-    if not vals:
-        raise ValueError("empty --deltas")
-    return vals
 
 
 def _emit(records, json_path):
@@ -112,10 +107,16 @@ def _cmd_knn_graph(args):
     return 0
 
 
-def _attach_truth_metrics(record, partition, truth):
+def _scores(partition, graph=None, truth=None):
+    """mcc and sum_conductance on the graph, ac and nmi against the truth;
+    each pair only when its reference is given."""
+    scores = {}
+    if graph is not None:
+        profile = partition_profile(graph, partition)
+        scores.update(mcc=profile["mcc"], sum_conductance=profile["sum"])
     if truth is not None:
-        record["ac"] = accuracy(partition, truth)
-        record["nmi"] = nmi(partition, truth)
+        scores.update(ac=accuracy(partition, truth), nmi=nmi(partition, truth))
+    return scores
 
 
 def _cmd_cluster(args):
@@ -131,11 +132,9 @@ def _cmd_cluster(args):
             elli_cluster, graph, args.k,
             mvee_eps=args.mvee_eps, tau_active=args.tau_active,
         )
-        profile = partition_profile(graph, result.partition)
         record = _base_record(args, "elli", args.k)
+        record.update(_scores(result.partition, graph, truth))
         record.update({
-            "mcc": profile["mcc"],
-            "sum_conductance": profile["sum"],
             "lambda_next": result.lambda_next,
             "elapsed_s": elapsed,
             "active_count": result.active_count,
@@ -143,26 +142,20 @@ def _cmd_cluster(args):
             "tau_active": args.tau_active,
             "mvee_eps": args.mvee_eps,
         })
-        _attach_truth_metrics(record, result.partition, truth)
         records.append(record)
         best = result.partition
     else:
-        runs, elapsed = timed(
-            ksc_cluster, graph, args.k, trials=args.trials, seed=args.seed,
-        )
+        runs = ksc_cluster(graph, args.k, trials=args.trials, seed=args.seed)
         for t, run in enumerate(runs):
-            profile = partition_profile(graph, run.partition)
             record = _base_record(args, "ksc", args.k)
+            record.update(_scores(run.partition, graph, truth))
             record.update({
                 "trial": t,
-                "mcc": profile["mcc"],
-                "sum_conductance": profile["sum"],
                 "lambda_next": run.lambda_next,
                 "cost": run.cost,
                 "iterations": run.iterations,
                 "elapsed_s": run.elapsed_s,
             })
-            _attach_truth_metrics(record, run.partition, truth)
             records.append(record)
         # labels on disk = the lowest-cost trial (first on ties)
         best = min(runs, key=lambda r: r.cost).partition
@@ -175,15 +168,9 @@ def _cmd_cluster(args):
 def _cmd_eval(args):
     labels = read_labels(args.labels)
     truth = read_labels(args.truth)
-    record = {"algo": "eval", "k": labels.k,
-              "version": __version__,
-              "ac": accuracy(labels, truth),
-              "nmi": nmi(labels, truth)}
-    if args.graph:
-        graph = read_graph(args.graph)
-        profile = partition_profile(graph, labels)
-        record["mcc"] = profile["mcc"]
-        record["sum_conductance"] = profile["sum"]
+    graph = read_graph(args.graph) if args.graph else None
+    record = {"algo": "eval", "k": labels.k, "version": __version__}
+    record.update(_scores(labels, graph, truth))
     _emit([record], args.json)
     return 0
 
@@ -195,16 +182,17 @@ def _sweep_point(inst, algos, trials, seed):
     }
     if "elli" in algos:
         result, elapsed = timed(elli_cluster, inst.graph, inst.truth.k)
-        profile = partition_profile(inst.graph, result.partition)
-        row["elli_mcc"] = profile["mcc"]
-        row["elli_ac"] = accuracy(result.partition, inst.truth)
+        scores = _scores(result.partition, inst.graph, inst.truth)
+        row["elli_mcc"] = scores["mcc"]
+        row["elli_ac"] = scores["ac"]
         row["elli_elapsed_s"] = elapsed
     if "ksc" in algos:
         runs, elapsed = timed(
             ksc_cluster, inst.graph, inst.truth.k, trials=trials, seed=seed,
         )
-        mccs = [partition_profile(inst.graph, r.partition)["mcc"] for r in runs]
-        acs = [accuracy(r.partition, inst.truth) for r in runs]
+        scores = [_scores(r.partition, inst.graph, inst.truth) for r in runs]
+        mccs = [s["mcc"] for s in scores]
+        acs = [s["ac"] for s in scores]
         row["ksc_mcc_mean"] = float(np.mean(mccs))
         row["ksc_mcc_min"] = float(np.min(mccs))
         row["ksc_mcc_max"] = float(np.max(mccs))
@@ -221,28 +209,19 @@ def _cmd_sweep(args):
     else:
         raise ValueError("sweep needs --suite or --sizes")
     algos = args.algos.split(",")
-    deltas = _parse_deltas(args.deltas) if args.deltas else None
-    instances = (
-        delta_sweep(sizes, seed=args.seed)
-        if deltas is None else delta_sweep(sizes, deltas, seed=args.seed)
-    )
-    threads = args.threads or int(os.environ.get("ELLISPEC_THREADS", "0")) \
-        or (os.cpu_count() or 1)
+    deltas = [float(v) for v in args.deltas.split(",")] if args.deltas else DEFAULT_DELTAS
+    threads = args.threads or os.cpu_count() or 1
     # at most `threads` points in flight; each instance, with its adjacency
     # and embedding, is dropped once its row exists
     rows, pending = [], deque()
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        for inst in instances:
+        for inst in delta_sweep(sizes, deltas, seed=args.seed):
             pending.append(pool.submit(_sweep_point, inst, algos, args.trials, args.seed))
             if len(pending) == threads:
                 rows.append(pending.popleft().result())
         rows.extend(future.result() for future in pending)
-    records = []
-    for row in rows:
-        record = {"algo": "sweep", "k": len(sizes), "seed": args.seed,
-                  "trials": args.trials, "version": __version__}
-        record.update(row)
-        records.append(record)
+    records = [{"algo": "sweep", "k": len(sizes), "seed": args.seed,
+                "trials": args.trials, "version": __version__, **row} for row in rows]
     _emit(records, args.json)
     if args.csv:
         fields = ["delta", "bound", "elli_mcc", "ksc_mcc_mean", "ksc_mcc_min",
@@ -251,8 +230,7 @@ def _cmd_sweep(args):
         with open(args.csv, "w", newline="") as fh:
             writer = csvmod.DictWriter(fh, fieldnames=fields, extrasaction="ignore")
             writer.writeheader()
-            for row in rows:
-                writer.writerow(row)
+            writer.writerows(rows)
     return 0
 
 
@@ -314,7 +292,7 @@ def build_parser():
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--deltas", help="comma-separated values, default 0..2 step 0.1")
     p.add_argument("--threads", type=int, default=0,
-                   help="worker pool size (0 = ELLISPEC_THREADS or cores)")
+                   help="worker pool size (0 = one per core)")
     p.add_argument("--csv")
     p.add_argument("--json")
     p.set_defaults(func=_cmd_sweep)

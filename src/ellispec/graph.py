@@ -33,7 +33,10 @@ class WeightedGraph:
     """
 
     def __init__(self, adjacency):
-        a = sp.csr_matrix(adjacency, dtype=np.float64)
+        a = sp.csr_matrix(adjacency)
+        if np.iscomplexobj(a.data):
+            raise InvalidGraphError(f"weights must be real, got dtype {a.dtype}")
+        a = a.astype(np.float64, copy=False)
         a.sum_duplicates()
         a.eliminate_zeros()  # an explicitly stored zero is simply no edge
         if a.shape[0] != a.shape[1]:
@@ -194,19 +197,20 @@ def normalized_laplacian(graph: WeightedGraph) -> NormalizedLaplacian:
     return NormalizedLaplacian(graph)
 
 
-def _as_index_array(graph, cluster):
-    idx = np.asarray(sorted(cluster), dtype=np.int64)
-    if idx.size == 0:
-        raise InvalidPartitionError("conductance of an empty cluster is undefined")
-    if idx.size and (idx[0] < 0 or idx[-1] >= graph.n):
-        raise InvalidPartitionError(f"cluster indices out of range for n={graph.n}")
-    if np.unique(idx).size != idx.size:
-        raise InvalidPartitionError("cluster contains duplicate nodes")
-    if idx.size == graph.n:
-        raise InvalidPartitionError(
-            "conductance of the whole node set is undefined"
-        )
-    return idx
+def _conductances(graph: WeightedGraph, labels, k):
+    """Cut/volume of each cluster of a label vector with ids 0..k-1, all used.
+
+    Row c of H @ A (H the k x n cluster indicator) is the weight flowing
+    from cluster c into each node; the part landing outside c is its cut,
+    so a cluster with no leaving edge scores exactly 0.0.
+    """
+    n = graph.n
+    indicator = sp.csr_matrix((np.ones(n), (labels, np.arange(n))), shape=(k, n))
+    flow = indicator @ graph.adjacency
+    source = np.repeat(np.arange(k), np.diff(flow.indptr))
+    leaving = labels[flow.indices] != source
+    cut = np.bincount(source[leaving], weights=flow.data[leaving], minlength=k)
+    return cut / np.bincount(labels, weights=graph.degrees, minlength=k)
 
 
 def conductance(graph: WeightedGraph, cluster) -> float:
@@ -214,30 +218,34 @@ def conductance(graph: WeightedGraph, cluster) -> float:
 
     The cluster must be a nonempty proper subset of the nodes.  Self-loops
     count toward the volume but not the cut, so the value lies in [0, 1].
+    This is the two-way profile {cluster, rest}: it costs one pass over the
+    whole adjacency, O(nnz), however small the cluster.
     """
-    idx = _as_index_array(graph, cluster)
-    volume = float(graph.degrees[idx].sum())
-    inside = np.zeros(graph.n, dtype=bool)
-    inside[idx] = True
-    sub = graph.adjacency[idx]
-    # cut = total incident weight minus the weight staying inside the cluster
-    internal = float(sub[:, idx].sum())
-    cut = float(sub.sum()) - internal
-    return cut / volume
+    idx = np.asarray(sorted(cluster), dtype=np.int64)
+    if idx.size == 0:
+        raise InvalidPartitionError("conductance of an empty cluster is undefined")
+    if idx[0] < 0 or idx[-1] >= graph.n:
+        raise InvalidPartitionError(f"cluster indices out of range for n={graph.n}")
+    if np.unique(idx).size != idx.size:
+        raise InvalidPartitionError("cluster contains duplicate nodes")
+    if idx.size == graph.n:
+        raise InvalidPartitionError(
+            "conductance of the whole node set is undefined"
+        )
+    labels = np.ones(graph.n, dtype=np.int64)
+    labels[idx] = 0
+    return float(_conductances(graph, labels, 2)[0])
 
 
 def partition_profile(graph: WeightedGraph, partition: Partition):
     """Per-cluster conductance together with its max (MCC) and sum.
 
     The sum is the normalized-cut objective value of the given partition.
+    All clusters are scored in one pass over the adjacency.
     """
     if partition.n != graph.n:
         raise InvalidPartitionError(
             f"partition covers {partition.n} nodes but the graph has {graph.n}"
         )
-    phis = [conductance(graph, members) for members in partition.clusters()]
-    return {
-        "per_cluster": phis,
-        "mcc": max(phis),
-        "sum": float(sum(phis)),
-    }
+    phis = _conductances(graph, partition.labels, partition.k).tolist()
+    return {"per_cluster": phis, "mcc": max(phis), "sum": sum(phis)}

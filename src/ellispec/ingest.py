@@ -18,6 +18,8 @@ _VDS_MAGIC = b"VDS1"
 # Rows of the similarity matrix held at once by cosine_knn_graph; the
 # fastest of 32-2048 at n=5000, d=64, p=10 on one BLAS thread.
 KNN_BLOCK_ROWS = 128
+# A BLAS product can round exactly equal cosines up to this many ulps apart.
+KNN_TIE_ULPS = 4
 
 
 @dataclass
@@ -91,8 +93,10 @@ def cosine_knn_graph(dataset: VectorDataset, p: int) -> WeightedGraph:
 
     w_ij = cos(a_i, a_j) whenever i is among the p most similar vectors
     to j or vice versa; a vector is never its own neighbor.  Ties at the
-    p-th rank are all included, so neighbor sets may exceed p.  Zero
-    similarities carry no edge; a node left with no edges is rejected.
+    p-th rank are all included, so neighbor sets may exceed p; values up
+    to ``KNN_TIE_ULPS`` ulps below the p-th largest count as ties (the
+    product can round equal cosines apart).  Zero similarities carry no
+    edge; a node left with no edges is rejected.
 
     Similarities are computed ``KNN_BLOCK_ROWS`` rows at a time, so the
     working memory is O(B·n + nnz) for block size B, never n×n.
@@ -108,8 +112,9 @@ def cosine_knn_graph(dataset: VectorDataset, p: int) -> WeightedGraph:
         block = unit[lo:hi] @ unit.T
         local = np.arange(hi - lo)
         block[local, local + lo] = -np.inf
-        # p-th largest similarity per row; everything >= it is a neighbor
+        # p-th largest similarity per row (>= 0); ties with it and above are neighbors
         kth = np.partition(block, n - p, axis=1)[:, n - p]
+        kth -= KNN_TIE_ULPS * np.spacing(kth)
         r, c = np.nonzero(block >= kth[:, None])
         rows.append(r + lo)
         cols.append(c)

@@ -128,6 +128,8 @@ def ksc_cluster(graph: WeightedGraph, k: int, trials: int = 1, seed: int = 0,
                 max_iter: int = MAX_ITER) -> list[KscRun]:
     """Scale column i of the graph's shared embedding by 1/sqrt(d_i), then
     run independently seeded k-means++/Lloyd trials."""
+    if trials < 1:
+        raise ValueError(f"need trials >= 1, got trials={trials}")
     emb = graph_embedding(graph, k)
     points = emb.P / np.sqrt(graph.degrees)[None, :]
     runs = []

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from ellispec import (
     InvalidGraphError,
@@ -39,6 +42,11 @@ class TestWeightedGraph:
     def test_non_finite_weight_rejected_and_named(self, weight):
         m = np.array([[0.0, 1.0, weight], [1.0, 0.0, 1.0], [weight, 1.0, 0.0]])
         with pytest.raises(InvalidGraphError, match=f"finite.*found {weight}"):
+            WeightedGraph(sp.csr_matrix(m))
+
+    def test_complex_weights_rejected(self):
+        m = np.array([[0.0, 1.0 + 0.5j], [1.0 - 0.5j, 0.0]])
+        with pytest.raises(InvalidGraphError, match="must be real.*complex"):
             WeightedGraph(sp.csr_matrix(m))
 
     def test_zero_degree_rejected_and_named(self):
@@ -179,3 +187,38 @@ class TestPartitionProfile:
         g = random_graph(rng, 10)
         with pytest.raises(InvalidPartitionError):
             partition_profile(g, Partition([0, 1, 0]))
+
+
+@st.composite
+def graphs_with_labels(draw):
+    """A random weighted graph with self-loops and a label vector using
+    every id.  Some draws cut every cross-cluster edge, so each cluster
+    has no leaving weight; a node left with no edge gets a self-loop."""
+    n = draw(st.integers(2, 12))
+    labels = draw(arrays(np.int64, n, elements=st.integers(0, n - 1)))
+    labels = np.unique(labels, return_inverse=True)[1]
+    w = draw(arrays(np.float64, (n, n), elements=st.floats(0.1, 1.0)))
+    w = np.triu(w * draw(arrays(np.bool_, (n, n))))
+    if draw(st.booleans()):
+        w[labels[:, None] != labels[None, :]] = 0.0
+    w += np.triu(w, 1).T
+    lonely = w.sum(axis=1) == 0.0
+    w[lonely, lonely] = 1.0
+    return WeightedGraph(sp.csr_matrix(w)), labels
+
+
+@settings(max_examples=200, deadline=None)
+@given(graphs_with_labels())
+def test_profile_matches_brute_force(case):
+    g, labels = case
+    dense = g.adjacency.toarray()
+    phis = partition_profile(g, Partition(labels))["per_cluster"]
+    for c, phi in enumerate(phis):
+        inside = labels == c
+        assert abs(phi - brute_conductance(dense, g.degrees, np.flatnonzero(inside))) <= 1e-12
+        if not dense[np.ix_(inside, ~inside)].any():
+            assert phi == 0.0
+        if inside.all():
+            continue
+        two_way = partition_profile(g, Partition(np.where(inside, 0, 1)))
+        assert conductance(g, np.flatnonzero(inside)) == two_way["per_cluster"][0]

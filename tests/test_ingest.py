@@ -130,6 +130,15 @@ class TestKnnGraph:
         assert w[0, 2] == pytest.approx(np.sqrt(0.5))
         assert w[0, 3] == 0.0
 
+    @pytest.mark.parametrize("block_rows", [1, 128])
+    def test_duplicate_vectors_tie_in_any_block(self, block_rows, monkeypatch):
+        # the 11 copies are equally similar to row 0, but a block product
+        # can round their cosines a few ulps apart; all 11 stay neighbors
+        monkeypatch.setattr(ingest, "KNN_BLOCK_ROWS", block_rows)
+        X = np.array([[0.5, 1.0, 1.0]] + [[1.0, 1.0, 1.0]] * 11)
+        graph = cosine_knn_graph(VectorDataset(X), 1)
+        assert graph.adjacency[0].nnz == 11
+
     def test_no_self_loops(self, rng):
         X = rng.uniform(0.1, 1.0, size=(10, 4))
         graph = cosine_knn_graph(VectorDataset(X), 3)

@@ -265,6 +265,19 @@ class TestCliExitCodes:
                      "--k", "2"]) == 5
         assert f"found {weight}" in capsys.readouterr().err
 
+    def test_complex_weights_are_invalid_graph(self, tmp_path, capsys):
+        path = tmp_path / "complex.mtx"
+        path.write_text(
+            "%%MatrixMarket matrix coordinate complex symmetric\n"
+            "3 3 3\n"
+            "2 1 1.0 0.5\n"
+            "3 1 1.0 0.0\n"
+            "3 2 1.0 0.0\n"
+        )
+        assert main(["cluster", "--algo", "elli", "--graph", str(path),
+                     "--k", "2"]) == 5
+        assert "must be real" in capsys.readouterr().err
+
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_non_finite_feature_is_usage(self, value, tmp_path, capsys):
         data = tmp_path / "bad.csv"

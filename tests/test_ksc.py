@@ -117,6 +117,12 @@ class TestKscCluster:
         acs = [accuracy(r.partition, inst.truth) for r in runs]
         assert np.mean(acs) >= 0.9
 
+    def test_trials_below_one_rejected(self):
+        graph = synth_adjacency([5, 5], 0.5, 2).graph
+        for trials in (0, -1):
+            with pytest.raises(ValueError, match=f"trials={trials}"):
+                ksc_cluster(graph, 2, trials=trials)
+
     def test_k_out_of_range(self):
         graph = synth_adjacency([5, 5], 0.5, 2).graph
         for k in (0, graph.n):
