@@ -18,7 +18,14 @@ from .graph import NormalizedLaplacian
 
 __all__ = ["Embedding", "bottom_k_eigs", "gap_diagnostics"]
 
-DENSE_THRESHOLD = 2048
+# Dense eigh up to this many nodes, ARPACK above: the crossover on
+# synth_adjacency([n // k] * k, delta, 1), median of 5 solves, one OpenBLAS
+# thread on a 2-vCPU Xeon VM.  eigh / ARPACK in ms, delta 0.3 then 1.0:
+#   n = 1000  k = 10: 110/109, 97/130   k = 20: 109/83, 122/88
+#   n = 1200  k = 10: 167/169, 163/136  k = 20: 192/112, 185/127
+#   n = 1500  k = 10: 305/202, 345/238  k = 20: 355/153, 318/204
+#   n = 2000  k = 10: 663/432, 679/388  k = 20: 647/256, 736/327
+DENSE_THRESHOLD = 1000
 RESIDUAL_TOL = 1e-10
 KERNEL_SHIFT = 3.0  # moves the eigenvalue 1 of S to -2, below its spectrum [-1, 1]
 

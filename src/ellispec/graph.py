@@ -22,35 +22,42 @@ __all__ = [
 ]
 
 
-class WeightedGraph:
-    """Undirected graph with strictly positive edge weights.
+# A CSR matrix-vector product costs as much as a dense one at 40-50 % density
+# (n = 2500 and 4000, one OpenBLAS thread on a 2-vCPU Xeon VM); an operator at
+# least this dense is stored dense.
+DENSE_STORAGE_DENSITY = 0.5
 
-    Stores a symmetric sparse adjacency matrix (both triangles) and the
-    degree vector d_i = sum_j w(i, j).  Self-loops are allowed and count
-    toward the degree but never toward any cut.  Every node must have
-    positive degree.  Instances are immutable after construction; they
-    keep the spectral embeddings solved for them (``elli.graph_embedding``).
+# rows of a dense n x n array handled at once by the passes over it that
+# would otherwise need an n x n temporary (symmetry check, component search,
+# the generator's mirror copy, Matrix Market output)
+BLOCK_ROWS = 256
+
+
+class WeightedGraph:
+    """Undirected graph with nonnegative edge weights; a zero weight is no edge.
+
+    ``adjacency`` is the symmetric adjacency matrix (both triangles): a
+    read-only float64 ndarray when the graph was given as an ndarray with
+    at least DENSE_STORAGE_DENSITY of its entries nonzero, and CSR
+    otherwise.  ``degrees`` holds d_i = sum_j w(i, j).  Self-loops are
+    allowed and count toward the degree but never toward any cut.  Every
+    node must have positive degree.  A dense ndarray is copied unless
+    ``copy=False``, which hands the array over: it is then made read-only
+    and must not be written by the caller.  Instances are immutable after
+    construction; they keep the spectral embeddings solved for them
+    (``elli.graph_embedding``).
     """
 
-    def __init__(self, adjacency):
-        a = sp.csr_matrix(adjacency)
-        if np.iscomplexobj(a.data):
-            raise InvalidGraphError(f"weights must be real, got dtype {a.dtype}")
-        a = a.astype(np.float64, copy=False)
-        a.sum_duplicates()
-        a.eliminate_zeros()  # an explicitly stored zero is simply no edge
-        if a.shape[0] != a.shape[1]:
-            raise InvalidGraphError(f"adjacency must be square, got {a.shape}")
-        # NaN fails both comparisons, inf the second
-        bad = np.flatnonzero(~((a.data > 0.0) & (a.data < np.inf)))
-        if bad.size:
-            raise InvalidGraphError(
-                f"all stored weights must be finite and positive; "
-                f"found {a.data[bad[0]]}"
-            )
-        if (a != a.T).nnz != 0:
-            raise InvalidGraphError("adjacency matrix must be symmetric")
-        degrees = np.asarray(a.sum(axis=1)).ravel()
+    def __init__(self, adjacency, copy=True):
+        if (isinstance(adjacency, np.ndarray) and adjacency.ndim == 2
+                and adjacency.shape[0] == adjacency.shape[1] and adjacency.size
+                and np.count_nonzero(adjacency)
+                >= DENSE_STORAGE_DENSITY * adjacency.size):
+            a = _checked_dense(adjacency, copy)
+            degrees = a.sum(axis=1)
+        else:
+            a = _checked_csr(adjacency)
+            degrees = np.asarray(a.sum(axis=1)).ravel()
         if a.shape[0] and degrees.min() <= 0.0:
             node = int(np.argmin(degrees))
             raise InvalidGraphError(f"node {node} has zero degree")
@@ -91,6 +98,62 @@ class WeightedGraph:
     @property
     def degrees(self):
         return self._degrees
+
+
+def _real(a):
+    if np.iscomplexobj(a):
+        raise InvalidGraphError(f"weights must be real, got dtype {a.dtype}")
+
+
+def _bad_weight(values):
+    """InvalidGraphError naming the first weight that is negative, NaN or inf."""
+    bad = values[~((values == 0.0) | ((values > 0.0) & (values < np.inf)))]
+    return InvalidGraphError(
+        f"all stored weights must be finite and positive; found {bad[0]}"
+    )
+
+
+def _checked_csr(adjacency):
+    a = sp.csr_matrix(adjacency)
+    _real(a.data)
+    a = a.astype(np.float64, copy=False)
+    a.sum_duplicates()
+    a.eliminate_zeros()  # an explicitly stored zero is simply no edge
+    if a.shape[0] != a.shape[1]:
+        raise InvalidGraphError(f"adjacency must be square, got {a.shape}")
+    # NaN fails both comparisons, inf the second
+    if not np.all((a.data > 0.0) & (a.data < np.inf)):
+        raise _bad_weight(a.data)
+    if (a != a.T).nnz != 0:
+        raise InvalidGraphError("adjacency matrix must be symmetric")
+    return a
+
+
+def _symmetric(a):
+    """Whether a == a.T, comparing one block of rows with its block of
+    columns at a time."""
+    for lo in range(0, a.shape[0], BLOCK_ROWS):
+        hi = lo + BLOCK_ROWS
+        if not np.array_equal(a[lo:hi, lo:], a[lo:, lo:hi].T):
+            return False
+    return True
+
+
+def _checked_dense(adjacency, copy):
+    """The same checks as _checked_csr on a square ndarray, with no n x n
+    temporary."""
+    _real(adjacency)
+    if copy:
+        a = np.array(adjacency, dtype=np.float64, order="C")
+    else:
+        a = np.ascontiguousarray(adjacency, dtype=np.float64)
+    # a NaN anywhere makes min() NaN, which fails the comparison
+    if not (a.min() >= 0.0 and a.max() < np.inf):
+        raise _bad_weight(a.ravel())
+    if not _symmetric(a):
+        raise InvalidGraphError("adjacency matrix must be symmetric")
+    a.flags.writeable = False
+    return a
 
 
 class Partition:
@@ -145,10 +208,30 @@ class Partition:
         )
 
 
-# A CSR matrix-vector product costs as much as a dense one at 40-50 % density
-# (n = 2500 and 4000, one OpenBLAS thread on a 2-vCPU Xeon VM); an operator at
-# least this dense is stored dense.
-DENSE_STORAGE_DENSITY = 0.5
+def _dense_components(a):
+    """Connected components of a dense symmetric adjacency, numbered from
+    the smallest node up as ``connected_components`` numbers them.
+
+    Breadth-first search: each level reads the rows of its frontier, a
+    block at a time and only in the columns of nodes not reached yet, so
+    every row is read at most once and no n x n temporary is made.
+    ``connected_components`` itself would first copy the array into CSR.
+    """
+    n = a.shape[0]
+    labels = np.full(n, -1, dtype=np.int64)
+    count = 0
+    while (unseen := np.flatnonzero(labels < 0)).size:
+        frontier = unseen[:1]
+        while frontier.size:
+            labels[frontier] = count
+            unseen = unseen[labels[unseen] < 0]
+            reached = np.zeros(unseen.size, dtype=bool)
+            for lo in range(0, frontier.size, BLOCK_ROWS):
+                rows = frontier[lo:lo + BLOCK_ROWS]
+                reached |= a[np.ix_(rows, unseen)].any(axis=0)
+            frontier = unseen[reached]
+        count += 1
+    return count, labels
 
 
 class NormalizedLaplacian:
@@ -164,7 +247,11 @@ class NormalizedLaplacian:
         a = graph.adjacency
         n = graph.n
         dinv = 1.0 / np.sqrt(graph.degrees)
-        if a.nnz >= DENSE_STORAGE_DENSITY * n * n:
+        dense = isinstance(a, np.ndarray)
+        if dense:
+            s = a * dinv[:, None]  # a scaled copy: the graph keeps W
+            s *= dinv[None, :]
+        elif a.nnz >= DENSE_STORAGE_DENSITY * n * n:
             s = a.toarray()
             s *= dinv[:, None]
             s *= dinv[None, :]
@@ -175,9 +262,13 @@ class NormalizedLaplacian:
         self.adjacency = s
         self.n = n
 
-        # on a symmetric adjacency strong and weak components coincide, and
-        # the strong search is about three times faster than directed=False
-        count, labels = connected_components(a, directed=True, connection="strong")
+        if dense:
+            count, labels = _dense_components(a)
+        else:
+            # on a symmetric adjacency strong and weak components coincide, and
+            # the strong search is about three times faster than directed=False
+            count, labels = connected_components(a, directed=True,
+                                                 connection="strong")
         sqrt_d = np.sqrt(graph.degrees)
         norms = np.sqrt(np.bincount(labels, weights=graph.degrees, minlength=count))
         self.kernel = sp.csr_matrix(
@@ -207,9 +298,13 @@ def _conductances(graph: WeightedGraph, labels, k):
     n = graph.n
     indicator = sp.csr_matrix((np.ones(n), (labels, np.arange(n))), shape=(k, n))
     flow = indicator @ graph.adjacency
-    source = np.repeat(np.arange(k), np.diff(flow.indptr))
-    leaving = labels[flow.indices] != source
-    cut = np.bincount(source[leaving], weights=flow.data[leaving], minlength=k)
+    if isinstance(flow, np.ndarray):
+        flow[labels, np.arange(n)] = 0.0  # weight staying inside its cluster
+        cut = flow.sum(axis=1)
+    else:
+        source = np.repeat(np.arange(k), np.diff(flow.indptr))
+        leaving = labels[flow.indices] != source
+        cut = np.bincount(source[leaving], weights=flow.data[leaving], minlength=k)
     return cut / np.bincount(labels, weights=graph.degrees, minlength=k)
 
 

@@ -6,8 +6,8 @@ import numpy as np
 import scipy.io
 import scipy.sparse as sp
 
-from ._errors import InvalidPartitionError
-from .graph import Partition, WeightedGraph
+from ._errors import InvalidGraphError, InvalidPartitionError
+from .graph import BLOCK_ROWS, Partition, WeightedGraph
 
 __all__ = [
     "read_graph",
@@ -21,8 +21,19 @@ __all__ = [
 def read_graph(path) -> WeightedGraph:
     """Read a symmetric coordinate real Matrix Market file as a graph.
 
-    Duplicate entries are summed (COO semantics).
+    Duplicate entries are summed (COO semantics).  ``array`` files and
+    ``pattern`` files (no weights) are rejected; ``general`` coordinate
+    files are read and must hold a symmetric matrix.
     """
+    # mminfo takes the path: on an open file it aborts the interpreter
+    # (SciPy 1.17)
+    *_, layout, field, symmetry = scipy.io.mminfo(path)
+    if layout != "coordinate" or field == "pattern":
+        raise InvalidGraphError(
+            f"{path}: unsupported Matrix Market header "
+            f"'{layout} {field} {symmetry}': a graph file must be "
+            f"coordinate with explicit weights"
+        )
     with open(path, "rb") as fh:
         mat = scipy.io.mmread(fh)
     return WeightedGraph(sp.csr_matrix(mat))
@@ -30,7 +41,13 @@ def read_graph(path) -> WeightedGraph:
 
 def write_graph(graph: WeightedGraph, path):
     """Write the adjacency as Matrix Market coordinate real symmetric."""
-    lower = sp.tril(graph.adjacency).tocoo()
+    a = graph.adjacency
+    if isinstance(a, np.ndarray):
+        # a block of rows at a time: sp.tril would first list all n^2 entries
+        lower = sp.vstack([sp.coo_matrix(np.tril(a[lo:lo + BLOCK_ROWS], lo))
+                           for lo in range(0, graph.n, BLOCK_ROWS)], format="coo")
+    else:
+        lower = sp.tril(a).tocoo()
     scipy.io.mmwrite(path, lower, symmetry="symmetric")
 
 
@@ -40,7 +57,10 @@ def read_labels(path) -> Partition:
         lines = [line for line in fh if line.strip()]
     if not lines:
         raise InvalidPartitionError(f"{path}: empty label file")
-    raw = np.loadtxt(lines, dtype=np.int64, ndmin=1)
+    try:
+        raw = np.loadtxt(lines, dtype=np.int64, ndmin=1)
+    except ValueError as exc:
+        raise InvalidPartitionError(f"{path}: labels must be integers: {exc}") from exc
     if raw.min() < 1:
         raise InvalidPartitionError(f"{path}: labels in files are 1-based")
     return Partition(raw - 1)

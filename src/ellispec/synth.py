@@ -8,6 +8,11 @@ delta in [0, 2]: delta = 0 gives k disconnected blocks, delta = 2
 restores M.  The conductance of truth cluster i is exactly
 delta / (c_i + delta) with c_i = b_i / r_i, where b_i is the within-block
 mass of M and r_i half the off-block mass incident to the block.
+
+Each instance's W is built once as an ndarray and handed to its
+``WeightedGraph`` with ``copy=False``, so the graph stores that array
+(read-only) whenever at least half its entries are nonzero, as for every
+delta > 0, and a CSR copy of it otherwise.
 """
 
 from __future__ import annotations
@@ -15,9 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
-from .graph import Partition, WeightedGraph
+from .graph import BLOCK_ROWS, Partition, WeightedGraph
 
 __all__ = [
     "SynthInstance",
@@ -41,35 +45,42 @@ class SynthInstance:
 
 
 def _sample_m(n, rng):
+    """Uniform draws mirrored from the strict upper triangle, in place: the
+    same matrix as triu(U, 1) + triu(U, 1).T without two n x n copies."""
     m = rng.uniform(0.0, 1.0, size=(n, n))
-    m = np.triu(m, 1)
-    return m + m.T
+    for lo in range(0, n, BLOCK_ROWS):
+        hi = lo + BLOCK_ROWS
+        m[lo:hi, :lo] = m[:lo, lo:hi].T
+        upper = np.triu(m[lo:hi, lo:hi], 1)
+        m[lo:hi, lo:hi] = upper + upper.T
+    return m
 
 
 def _block_labels(sizes):
     return np.repeat(np.arange(len(sizes)), sizes)
 
 
-def _cluster_constants(m, labels, k):
+def _cluster_constants(m, blocks):
     """c_i = within-block mass / half the off-block mass, per block."""
-    c = np.empty(k)
-    for i in range(k):
-        inside = labels == i
-        b_i = m[np.ix_(inside, inside)].sum()
-        r_i = 0.5 * m[np.ix_(inside, ~inside)].sum()
-        c[i] = b_i / r_i
+    rows = m.sum(axis=1)
+    c = np.empty(len(blocks))
+    for i, (lo, hi) in enumerate(blocks):
+        b_i = m[lo:hi, lo:hi].sum()
+        c[i] = b_i / (0.5 * (rows[lo:hi].sum() - b_i))
     return c
 
 
-def _assemble(m, labels, k, delta, permutation=None):
-    same = labels[:, None] == labels[None, :]
-    w = np.where(same, m, 0.5 * delta * m)
+def _assemble(m, blocks, labels, delta, permutation=None):
+    """W = B + delta * R, built in a fresh array that the graph takes over."""
+    w = m * (0.5 * delta)
+    for lo, hi in blocks:
+        w[lo:hi, lo:hi] = m[lo:hi, lo:hi]
     out_labels = labels
     if permutation is not None:
         w = w[np.ix_(permutation, permutation)]
         out_labels = labels[permutation]
-    graph = WeightedGraph(sp.csr_matrix(w))
-    return graph, Partition(out_labels, k=k)
+    graph = WeightedGraph(w, copy=False)
+    return graph, Partition(out_labels, k=len(blocks))
 
 
 def synth_adjacency(sizes, delta, rng, permute=False) -> SynthInstance:
@@ -99,14 +110,16 @@ def delta_sweep(sizes, deltas=DEFAULT_DELTAS, seed=0, permute=False):
         if not 0.0 <= delta <= 2.0:
             raise ValueError(f"delta must lie in [0, 2], got {delta}")
     rng = np.random.default_rng(seed)
-    n, k = sum(sizes), len(sizes)
+    n = sum(sizes)
     m = _sample_m(n, rng)
     labels = _block_labels(sizes)
+    bounds = np.cumsum([0] + sizes)
+    blocks = list(zip(bounds[:-1], bounds[1:]))
     perm = rng.permutation(n) if permute else None
-    c = _cluster_constants(m, labels, k)
+    c = _cluster_constants(m, blocks)
     c_min = float(c.min())
     for delta in deltas:
-        graph, truth = _assemble(m, labels, k, delta, perm)
+        graph, truth = _assemble(m, blocks, labels, delta, perm)
         yield SynthInstance(graph=graph, truth=truth, delta=delta,
                             c=c, c_min=c_min)
 

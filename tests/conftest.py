@@ -21,6 +21,11 @@ def random_graph(rng, n, density=0.3):
     return WeightedGraph(sp.csr_matrix(w))
 
 
+def dense(adjacency):
+    """A graph's adjacency as an ndarray, whichever storage it has."""
+    return adjacency if isinstance(adjacency, np.ndarray) else adjacency.toarray()
+
+
 def random_partition(rng, n, k):
     """Random k-way labels with every cluster guaranteed nonempty."""
     if n < k:

@@ -32,6 +32,7 @@ from ellispec import (
 from conftest import (
     THETA_CONST,
     brute_conductance,
+    dense,
     planted_columns,
     random_graph,
     random_orthogonal,
@@ -76,7 +77,7 @@ def test_criterion_2_synthetic_conductance_identity(report):
         sizes = [int(s) for s in rng.integers(3, 15, size=k)]
         delta = float(rng.uniform(0.05, 2.0))
         inst = synth_adjacency(sizes, delta, int(rng.integers(1_000_000)))
-        w_dense = inst.graph.adjacency.toarray()
+        w_dense = dense(inst.graph.adjacency)
         for i, members in enumerate(inst.truth.clusters()):
             closed = delta / (inst.c[i] + delta)
             ok &= abs(conductance(inst.graph, members) - closed) <= 1e-10

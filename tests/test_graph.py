@@ -10,13 +10,15 @@ from ellispec import (
     InvalidPartitionError,
     Partition,
     WeightedGraph,
+    bottom_k_eigs,
     conductance,
     normalized_laplacian,
     partition_profile,
     synth_adjacency,
 )
+from ellispec import graph as graph_module
 
-from conftest import brute_conductance, random_graph, random_partition
+from conftest import brute_conductance, dense, random_graph, random_partition
 
 
 def path2():
@@ -59,10 +61,63 @@ class TestWeightedGraph:
         g = WeightedGraph.from_entries(2, [(0, 1, 1.0), (0, 1, 2.0)])
         assert g.adjacency[0, 1] == 3.0
 
+    def test_storage_follows_density(self):
+        full = np.ones((3, 3))
+        g = WeightedGraph(full)
+        assert isinstance(g.adjacency, np.ndarray)
+        assert not g.adjacency.flags.writeable
+        full[0, 0] = 5.0  # the constructor copied the caller's array
+        assert g.adjacency[0, 0] == 1.0
+        assert sp.issparse(WeightedGraph(np.eye(3)).adjacency)  # 1/3 nonzero
+
+    def test_dense_array_handed_over_without_copy(self):
+        w = np.ones((3, 3))
+        g = WeightedGraph(w, copy=False)
+        assert g.adjacency is w
+        assert not w.flags.writeable
+
     def test_degrees_include_self_loops(self):
         g = WeightedGraph.from_entries(2, [(0, 1, 1.0), (0, 0, 2.0)])
         assert g.degrees[0] == 3.0
         assert g.degrees[1] == 1.0
+
+
+def _full_with(entries, dtype=np.float64):
+    """3 x 3 all-ones adjacency (self-loops included) with some entries set."""
+    m = np.ones((3, 3), dtype=dtype)
+    for (i, j), value in entries.items():
+        m[i, j] = value
+    return m
+
+
+def _isolated_fourth_node():
+    m = np.zeros((4, 4))
+    m[:3, :3] = 1.0  # 9 of 16 entries: stored dense
+    return m
+
+
+REJECTED = {
+    "nan": (_full_with({(0, 2): np.nan, (2, 0): np.nan}), "finite.*found nan"),
+    "inf": (_full_with({(0, 2): np.inf, (2, 0): np.inf}), "finite.*found inf"),
+    "-inf": (_full_with({(1, 2): -np.inf, (2, 1): -np.inf}), "finite.*found -inf"),
+    "negative": (_full_with({(0, 1): -1.0, (1, 0): -1.0}), "finite.*found -1.0"),
+    "complex": (_full_with({(0, 1): 1 + 0.5j, (1, 0): 1 - 0.5j}, complex),
+                "must be real.*complex"),
+    "asymmetric": (_full_with({(0, 1): 2.0}), "must be symmetric"),
+    "non-square": (np.ones((2, 3)), "must be square"),
+    "zero-degree": (_isolated_fourth_node(), "node 3 has zero degree"),
+}
+
+
+@pytest.mark.parametrize("case", list(REJECTED))
+def test_ndarray_and_csr_rejected_alike(case):
+    m, match = REJECTED[case]
+    messages = []
+    for adjacency in (m, sp.csr_matrix(m)):
+        with pytest.raises(InvalidGraphError, match=match) as info:
+            WeightedGraph(adjacency)
+        messages.append(str(info.value))
+    assert messages[0] == messages[1]
 
 
 class TestNormalizedLaplacian:
@@ -84,6 +139,31 @@ class TestNormalizedLaplacian:
         lap = normalized_laplacian(WeightedGraph(w))
         vals = np.linalg.eigvalsh(lap.toarray())
         assert np.sum(np.abs(vals) < 1e-10) == k
+
+    def test_two_dense_components(self):
+        # two complete blocks with self-loops fill exactly half the entries
+        g = WeightedGraph(sp.block_diag([np.ones((4, 4))] * 2).toarray())
+        assert isinstance(g.adjacency, np.ndarray)
+        lap = normalized_laplacian(g)
+        assert lap.kernel.shape == (8, 2)
+        with pytest.raises(InvalidGraphError, match="2 connected components"):
+            bottom_k_eigs(lap, 1)
+
+    @pytest.mark.parametrize("block_rows", [2, 256])
+    def test_dense_components_match_csr(self, rng, monkeypatch, block_rows):
+        monkeypatch.setattr(graph_module, "BLOCK_ROWS", block_rows)
+        w = sp.block_diag([np.ones((16, 16)), np.zeros((3, 3)),
+                           np.ones((3, 3)), np.ones((1, 1))]).toarray()
+        for i in (15, 16, 17):  # a path hanging off the clique: 4 BFS levels
+            w[i, i + 1] = w[i + 1, i] = 1.0
+        perm = rng.permutation(len(w))
+        w = w[np.ix_(perm, perm)]
+        g = WeightedGraph(w)
+        assert isinstance(g.adjacency, np.ndarray)
+        kernel = normalized_laplacian(g).kernel.toarray()
+        csr = normalized_laplacian(WeightedGraph(sp.csr_matrix(w)))
+        assert kernel.shape == (23, 3)
+        assert np.array_equal(kernel, csr.kernel.toarray())
 
     def test_spectrum_in_range(self, rng):
         g = random_graph(rng, 30)
@@ -197,26 +277,29 @@ def graphs_with_labels(draw):
     n = draw(st.integers(2, 12))
     labels = draw(arrays(np.int64, n, elements=st.integers(0, n - 1)))
     labels = np.unique(labels, return_inverse=True)[1]
+    as_array = draw(st.booleans())
     w = draw(arrays(np.float64, (n, n), elements=st.floats(0.1, 1.0)))
-    w = np.triu(w * draw(arrays(np.bool_, (n, n))))
+    if not as_array:  # ndarray draws keep every edge, so most are stored dense
+        w = w * draw(arrays(np.bool_, (n, n)))
+    w = np.triu(w)
     if draw(st.booleans()):
         w[labels[:, None] != labels[None, :]] = 0.0
     w += np.triu(w, 1).T
     lonely = w.sum(axis=1) == 0.0
     w[lonely, lonely] = 1.0
-    return WeightedGraph(sp.csr_matrix(w)), labels
+    return WeightedGraph(w if as_array else sp.csr_matrix(w)), labels
 
 
 @settings(max_examples=200, deadline=None)
 @given(graphs_with_labels())
 def test_profile_matches_brute_force(case):
     g, labels = case
-    dense = g.adjacency.toarray()
+    dense_w = dense(g.adjacency)
     phis = partition_profile(g, Partition(labels))["per_cluster"]
     for c, phi in enumerate(phis):
         inside = labels == c
-        assert abs(phi - brute_conductance(dense, g.degrees, np.flatnonzero(inside))) <= 1e-12
-        if not dense[np.ix_(inside, ~inside)].any():
+        assert abs(phi - brute_conductance(dense_w, g.degrees, np.flatnonzero(inside))) <= 1e-12
+        if not dense_w[np.ix_(inside, ~inside)].any():
             assert phi == 0.0
         if inside.all():
             continue

@@ -4,7 +4,9 @@ import weakref
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
+import ellispec.io
 from ellispec import (
     InvalidPartitionError,
     Partition,
@@ -13,6 +15,7 @@ from ellispec import (
     normalized_laplacian,
     read_graph,
     read_labels,
+    synth_adjacency,
     write_graph,
     write_labels,
 )
@@ -20,7 +23,7 @@ from ellispec import cli
 from ellispec.cli import main
 from ellispec.io import write_embedding
 
-from conftest import random_graph
+from conftest import dense, random_graph
 
 
 def read_json_lines(path):
@@ -35,6 +38,25 @@ class TestGraphFiles:
         write_graph(g, path)
         back = read_graph(path)
         assert np.allclose(back.adjacency.toarray(), g.adjacency.toarray())
+
+    def test_round_trip_dense_storage(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(ellispec.io, "BLOCK_ROWS", 4)  # 4 row blocks
+        g = synth_adjacency([6, 7], 0.4, 3).graph
+        assert isinstance(g.adjacency, np.ndarray)
+        path, csr_path = tmp_path / "g.mtx", tmp_path / "csr.mtx"
+        write_graph(g, path)
+        write_graph(WeightedGraph(sp.csr_matrix(g.adjacency)), csr_path)
+        assert path.read_bytes() == csr_path.read_bytes()
+        back = read_graph(path)
+        np.testing.assert_allclose(dense(back.adjacency), g.adjacency,
+                                   rtol=1e-12, atol=0)
+
+    def test_general_coordinate_file_read(self, tmp_path):
+        path = tmp_path / "g.mtx"
+        path.write_text("%%MatrixMarket matrix coordinate real general\n"
+                        "2 2 2\n1 2 1.5\n2 1 1.5\n")
+        assert np.array_equal(dense(read_graph(path).adjacency),
+                              [[0.0, 1.5], [1.5, 0.0]])
 
     def test_symmetric_header(self, rng, tmp_path):
         path = tmp_path / "g.mtx"
@@ -78,6 +100,12 @@ class TestLabelFiles:
         path = tmp_path / "bad.txt"
         path.write_text("0\n1\n")
         with pytest.raises(InvalidPartitionError):
+            read_labels(path)
+
+    def test_non_integer_label_rejected(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_text("1\n1.5\n2\n")
+        with pytest.raises(InvalidPartitionError, match="must be integers"):
             read_labels(path)
 
     def test_empty_rejected(self, tmp_path):
@@ -250,6 +278,28 @@ class TestCliExitCodes:
         assert main(["cluster", "--algo", "elli", "--graph", str(g),
                      "--k", "2", "--truth", str(bad),
                      "--json", str(tmp_path / "c.json")]) == 5
+
+    def test_non_integer_labels_are_partition_error(self, tmp_path):
+        g = tmp_path / "g.mtx"
+        main(["synth", "--sizes", "8x2", "--delta", "0.2", "--out", str(g),
+              "--json", str(tmp_path / "s.json")])
+        bad = tmp_path / "bad.txt"
+        bad.write_text("1\n1.5\n" + "2\n" * 14)
+        assert main(["cluster", "--algo", "elli", "--graph", str(g),
+                     "--k", "2", "--truth", str(bad),
+                     "--json", str(tmp_path / "c.json")]) == 5
+
+    @pytest.mark.parametrize("header, body", [
+        ("array real symmetric", "3 3\n0\n1\n1\n0\n1\n0\n"),
+        ("coordinate pattern symmetric", "3 3 3\n2 1\n3 1\n3 2\n"),
+    ])
+    def test_array_and_pattern_files_are_invalid_graph(self, header, body,
+                                                       tmp_path, capsys):
+        path = tmp_path / "g.mtx"
+        path.write_text(f"%%MatrixMarket matrix {header}\n{body}")
+        assert main(["cluster", "--algo", "elli", "--graph", str(path),
+                     "--k", "2"]) == 5
+        assert header in capsys.readouterr().err
 
     @pytest.mark.parametrize("weight", ["inf", "nan"])
     def test_non_finite_weight_is_invalid_graph(self, weight, tmp_path, capsys):

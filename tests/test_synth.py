@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -10,11 +12,13 @@ from ellispec import (
     synth_adjacency,
 )
 
+from conftest import dense
+
 
 class TestStructure:
     def test_zero_delta_disconnects_blocks(self):
         inst = synth_adjacency([4, 6, 5], 0.0, 3)
-        w = inst.graph.adjacency.toarray()
+        w = dense(inst.graph.adjacency)
         labels = inst.truth.labels
         off = labels[:, None] != labels[None, :]
         assert np.all(w[off] == 0.0)
@@ -22,13 +26,13 @@ class TestStructure:
 
     def test_delta_two_restores_dense_matrix(self):
         inst = synth_adjacency([4, 4], 2.0, 7)
-        w = inst.graph.adjacency.toarray()
+        w = dense(inst.graph.adjacency)
         assert np.all(w[~np.eye(8, dtype=bool)] > 0.0)
         assert np.all(w <= 1.0)
 
     def test_symmetric_zero_diagonal(self, rng):
         inst = synth_adjacency([5, 7, 6], 0.8, 11)
-        w = inst.graph.adjacency.toarray()
+        w = dense(inst.graph.adjacency)
         assert np.allclose(w, w.T)
         assert np.all(np.diag(w) == 0.0)
 
@@ -41,8 +45,8 @@ class TestStructure:
         delta = 0.6
         a = synth_adjacency([4, 5], 2.0, 9)   # delta=2 recovers M off-block
         b = synth_adjacency([4, 5], delta, 9)
-        wa = a.graph.adjacency.toarray()
-        wb = b.graph.adjacency.toarray()
+        wa = dense(a.graph.adjacency)
+        wb = dense(b.graph.adjacency)
         off = a.truth.labels[:, None] != a.truth.labels[None, :]
         assert np.allclose(wb[off], 0.5 * delta * wa[off])
         assert np.allclose(wb[~off], wa[~off])
@@ -84,10 +88,10 @@ class TestSweep:
     def test_shared_base_matrix(self):
         insts = list(delta_sweep([5, 6], deltas=[0.4, 0.8, 2.0], seed=13))
         assert [i.delta for i in insts] == [0.4, 0.8, 2.0]
-        full = insts[-1].graph.adjacency.toarray()
+        full = dense(insts[-1].graph.adjacency)
         on = insts[0].truth.labels[:, None] == insts[0].truth.labels[None, :]
         for inst in insts[:-1]:
-            w = inst.graph.adjacency.toarray()
+            w = dense(inst.graph.adjacency)
             mask = ~np.eye(11, dtype=bool) & on
             assert np.allclose(w[mask], full[mask])
             assert np.allclose(w[~on], 0.5 * inst.delta * full[~on])
@@ -106,7 +110,7 @@ class TestSweep:
         assert sorted(np.bincount(inst.truth.labels)) == [5, 6, 8]
         assert np.allclose(sorted(inst.graph.degrees), sorted(base.graph.degrees))
         for members in inst.truth.clusters():
-            sub = inst.graph.adjacency[np.ix_(members, members)].toarray()
+            sub = dense(inst.graph.adjacency)[np.ix_(members, members)]
             assert np.all(sub[~np.eye(len(members), dtype=bool)] > 0.0)
 
 
@@ -115,10 +119,8 @@ def test_single_instance_is_one_point_sweep(permute):
     sizes = [6, 8, 5]
     one = synth_adjacency(sizes, 0.3, np.random.default_rng(17), permute=permute)
     swept = next(delta_sweep(sizes, [0.3], seed=17, permute=permute))
-    a, b = one.graph.adjacency, swept.graph.adjacency
-    assert np.array_equal(a.indptr, b.indptr)
-    assert np.array_equal(a.indices, b.indices)
-    assert np.array_equal(a.data, b.data)
+    a, b = dense(one.graph.adjacency), dense(swept.graph.adjacency)
+    assert np.array_equal(a, b)
     assert np.array_equal(one.truth.labels, swept.truth.labels)
     assert np.array_equal(one.c, swept.c)
     assert one.c_min == swept.c_min and one.delta == swept.delta
@@ -146,6 +148,19 @@ class TestValidation:
     def test_seed_reproducibility(self):
         a = synth_adjacency([5, 5], 0.9, 123)
         b = synth_adjacency([5, 5], 0.9, 123)
-        assert np.allclose(a.graph.adjacency.toarray(),
-                           b.graph.adjacency.toarray())
+        assert np.allclose(dense(a.graph.adjacency),
+                           dense(b.graph.adjacency))
         assert accuracy(a.truth, b.truth) == 1.0
+
+
+def test_dense_build_peak_memory():
+    # M and W are the two n x n arrays the generator needs; with a CSR copy
+    # of W and n x n temporaries the peak was 6.4 x 8n^2 bytes
+    n = 2000
+    tracemalloc.start()
+    try:
+        synth_adjacency([500] * 4, 0.5, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * 8 * n * n
