@@ -20,11 +20,9 @@ from ._errors import (
 from .eigen import Embedding, bottom_k_eigs, gap_diagnostics
 from .elli import ElliResult, alpha_theta_profile, elli_cluster, group_columns
 from .graph import (
-    NormalizedLaplacian,
     Partition,
     WeightedGraph,
     conductance,
-    normalized_laplacian,
     partition_profile,
 )
 from .ingest import VectorDataset, cosine_knn_graph, load_csv, load_vds
@@ -54,11 +52,9 @@ __all__ = [
     "alpha_theta_profile",
     "elli_cluster",
     "group_columns",
-    "NormalizedLaplacian",
     "Partition",
     "WeightedGraph",
     "conductance",
-    "normalized_laplacian",
     "partition_profile",
     "VectorDataset",
     "cosine_knn_graph",

@@ -3,7 +3,8 @@
 Output is machine-readable JSON lines (one record per trial or sweep
 point); sweeps can additionally emit CSV.  Exit codes: 0 success,
 1 unexpected internal error (a Python traceback), 2 usage, 3 I/O,
-4 numerical failure, 5 invalid graph or partition.
+4 numerical failure, 5 invalid graph or partition (a malformed graph
+file included).
 """
 
 from __future__ import annotations

@@ -1,8 +1,12 @@
 """Bottom-k eigenpairs of the normalized Laplacian (the embedding stage).
 
-Dense symmetric solver up to a size threshold; ARPACK on the normalized
-adjacency above it, with the known null space deflated.  Always retrieves
-k+1 eigenpairs so the next eigenvalue is available for diagnostics.
+The solvers read the graph's own adjacency W, dense or CSR, together
+with dinv = D^{-1/2}; no scaled copy of W is kept.  Up to a size
+threshold, dense symmetric ``eigh`` on L = I - D^{-1/2} W D^{-1/2},
+formed for that call only; above it, ARPACK on the products
+dinv * (W @ (dinv * x)), with the known null space deflated.  Always
+retrieves k+1 eigenpairs so the next eigenvalue is available for
+diagnostics.
 """
 
 from __future__ import annotations
@@ -11,10 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse as sp
 import scipy.sparse.linalg
 
 from ._errors import ConvergenceError, InvalidGraphError
-from .graph import NormalizedLaplacian
+from .graph import WeightedGraph, _components
 
 __all__ = ["Embedding", "bottom_k_eigs", "gap_diagnostics"]
 
@@ -45,7 +50,18 @@ class Embedding:
     lambda_next: float
 
 
-def _validate(P, vals, lap, tol=1e-8):
+def _kernel(graph):
+    """n x c sparse orthonormal basis of the null space of L: column i is
+    sqrt(d) on the nodes of connected component i and zero elsewhere."""
+    count, labels = _components(graph.adjacency)
+    norms = np.sqrt(np.bincount(labels, weights=graph.degrees, minlength=count))
+    return sp.csr_matrix(
+        (np.sqrt(graph.degrees) / norms[labels], (np.arange(graph.n), labels)),
+        shape=(graph.n, count),
+    )
+
+
+def _validate(P, vals, w, dinv, tol=1e-8):
     k = P.shape[0]
     gram = P @ P.T
     if np.abs(gram - np.eye(k)).max() > tol:
@@ -53,7 +69,8 @@ def _validate(P, vals, lap, tol=1e-8):
             "eigenvector rows are not orthonormal",
             achieved=float(np.abs(gram - np.eye(k)).max()),
         )
-    resid = lap.dot(P.T) - P.T * vals[None, :]
+    x = P.T
+    resid = x - dinv[:, None] * (w @ (dinv[:, None] * x)) - x * vals[None, :]
     worst = float(np.linalg.norm(resid, axis=0).max())
     if worst > tol:
         raise ConvergenceError(
@@ -61,24 +78,25 @@ def _validate(P, vals, lap, tol=1e-8):
         )
 
 
-def _arpack_eigs(lap, k):
-    """ARPACK on S = I - L for the k+1 smallest pairs of L.
+def _arpack_eigs(w, dinv, z, k):
+    """ARPACK on S = D^{-1/2} W D^{-1/2} = I - L for the k+1 smallest
+    pairs of L.
 
-    The null space of L is known: one vector per connected component.  A
-    single-vector Krylov method cannot resolve that multiple eigenvalue,
-    so it is moved from 1 to 1 - KERNEL_SHIFT, below the spectrum of S,
-    and the null vectors are prepended to what ARPACK finds.
+    The null space of L is known: one vector per connected component (the
+    columns of ``z``).  A single-vector Krylov method cannot resolve that
+    multiple eigenvalue, so it is moved from 1 to 1 - KERNEL_SHIFT, below
+    the spectrum of S, and the null vectors are prepended to what ARPACK
+    finds.
     """
-    s, z = lap.adjacency, lap.kernel
-    c = z.shape[1]
+    n, c = z.shape
 
     def matvec(x):
         x = x.ravel()
-        return s @ x - KERNEL_SHIFT * (z @ (z.T @ x))
+        return dinv * (w @ (dinv * x)) - KERNEL_SHIFT * (z @ (z.T @ x))
 
-    op = scipy.sparse.linalg.LinearOperator((lap.n, lap.n), matvec=matvec,
+    op = scipy.sparse.linalg.LinearOperator((n, n), matvec=matvec,
                                             dtype=np.float64)
-    v0 = np.random.default_rng(0x5EED).standard_normal(lap.n)
+    v0 = np.random.default_rng(0x5EED).standard_normal(n)
     try:
         theta, vecs = scipy.sparse.linalg.eigsh(op, k=k + 1 - c, which="LA",
                                                 v0=v0, tol=RESIDUAL_TOL)
@@ -91,32 +109,38 @@ def _arpack_eigs(lap, k):
             np.hstack([z.toarray(), vecs]))
 
 
-def bottom_k_eigs(lap: NormalizedLaplacian, k: int) -> Embedding:
-    """Compute the k smallest eigenpairs plus the (k+1)th eigenvalue.
+def bottom_k_eigs(graph: WeightedGraph, k: int) -> Embedding:
+    """Compute the k smallest eigenpairs of the graph's normalized
+    Laplacian plus the (k+1)th eigenvalue.
 
     Dense ``eigh`` on graphs of at most DENSE_THRESHOLD nodes, ARPACK above.
 
     Raises InvalidGraphError when the graph has more than k connected
     components: the eigenvalue 0 then has multiplicity above k.
     """
-    n = lap.n
+    n = graph.n
     if not 1 <= k < n:
         raise ValueError(f"need 1 <= k < n, got k={k}, n={n}")
-    components = lap.kernel.shape[1]
+    z = _kernel(graph)
+    components = z.shape[1]
     if components > k:
         raise InvalidGraphError(
             f"graph has {components} connected components, more than k={k}: "
             f"its bottom-{k} eigenspace is not unique"
         )
+    w = graph.adjacency
+    dinv = 1.0 / np.sqrt(graph.degrees)
     if n <= DENSE_THRESHOLD:
-        vals, vecs = scipy.linalg.eigh(lap.toarray(), subset_by_index=[0, k])
+        s = (w if isinstance(w, np.ndarray) else w.toarray()) * dinv[:, None]
+        s *= dinv[None, :]
+        vals, vecs = scipy.linalg.eigh(np.eye(n) - s, subset_by_index=[0, k])
     else:
-        vals, vecs = _arpack_eigs(lap, k)
+        vals, vecs = _arpack_eigs(w, dinv, z, k)
     order = np.argsort(vals)
     vals = vals[order]
     vecs = vecs[:, order]
     P = vecs[:, :k].T.copy()
-    _validate(P, vals[:k], lap)
+    _validate(P, vals[:k], w, dinv)
     return Embedding(k=k, n=n, P=P, eigenvalues=vals[:k],
                      lambda_next=float(vals[k]))
 

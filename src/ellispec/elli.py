@@ -16,7 +16,7 @@ import numpy as np
 
 from ._errors import InvalidGraphError
 from .eigen import Embedding, bottom_k_eigs
-from .graph import Partition, WeightedGraph, normalized_laplacian
+from .graph import Partition, WeightedGraph
 from .mvee import DEFAULT_EPS, DEFAULT_TAU_ACTIVE, solve_mvee
 from .spa import spa_select
 
@@ -102,7 +102,7 @@ def graph_embedding(graph: WeightedGraph, k: int) -> Embedding:
     """
     emb = graph._embeddings.get(k)
     if emb is None:
-        emb = bottom_k_eigs(normalized_laplacian(graph), k)
+        emb = bottom_k_eigs(graph, k)
         emb.P.flags.writeable = False
         emb.eigenvalues.flags.writeable = False
         graph._embeddings[k] = emb

@@ -1,7 +1,10 @@
-"""Weighted graphs, the normalized Laplacian, and conductance.
+"""Weighted graphs, partitions, and conductance.
 
-Nodes are 0-based everywhere in the API; file formats (Matrix Market,
-label files) are 1-based.
+A ``WeightedGraph`` decides once, from the share of nonzero entries,
+whether its adjacency is held dense or as CSR; every later pass (the
+spectral embedding in ``eigen``, the scoring here) reads that one
+matrix.  Nodes are 0-based everywhere in the API; file formats (Matrix
+Market, label files) are 1-based.
 """
 
 from __future__ import annotations
@@ -15,16 +18,14 @@ from ._errors import InvalidGraphError, InvalidPartitionError
 __all__ = [
     "WeightedGraph",
     "Partition",
-    "NormalizedLaplacian",
-    "normalized_laplacian",
     "conductance",
     "partition_profile",
 ]
 
 
 # A CSR matrix-vector product costs as much as a dense one at 40-50 % density
-# (n = 2500 and 4000, one OpenBLAS thread on a 2-vCPU Xeon VM); an operator at
-# least this dense is stored dense.
+# (n = 2500 and 4000, one OpenBLAS thread on a 2-vCPU Xeon VM); an adjacency
+# at least this dense is stored dense.
 DENSE_STORAGE_DENSITY = 0.5
 
 # rows of a dense n x n array handled at once by the passes over it that
@@ -37,15 +38,15 @@ class WeightedGraph:
     """Undirected graph with nonnegative edge weights; a zero weight is no edge.
 
     ``adjacency`` is the symmetric adjacency matrix (both triangles): a
-    read-only float64 ndarray when the graph was given as an ndarray with
-    at least DENSE_STORAGE_DENSITY of its entries nonzero, and CSR
-    otherwise.  ``degrees`` holds d_i = sum_j w(i, j).  Self-loops are
-    allowed and count toward the degree but never toward any cut.  Every
-    node must have positive degree.  A dense ndarray is copied unless
-    ``copy=False``, which hands the array over: it is then made read-only
-    and must not be written by the caller.  Instances are immutable after
-    construction; they keep the spectral embeddings solved for them
-    (``elli.graph_embedding``).
+    read-only float64 ndarray when at least DENSE_STORAGE_DENSITY of its
+    entries are nonzero, whatever the input (ndarray, CSR or any SciPy
+    sparse format), and CSR otherwise.  ``degrees`` holds
+    d_i = sum_j w(i, j).  Self-loops are allowed and count toward the
+    degree but never toward any cut.  Every node must have positive
+    degree.  A dense ndarray is copied unless ``copy=False``, which hands
+    the array over: it is then made read-only and must not be written by
+    the caller.  Instances are immutable after construction; they keep
+    the spectral embeddings solved for them (``elli.graph_embedding``).
     """
 
     def __init__(self, adjacency, copy=True):
@@ -58,34 +59,15 @@ class WeightedGraph:
         else:
             a = _checked_csr(adjacency)
             degrees = np.asarray(a.sum(axis=1)).ravel()
+            if a.nnz >= DENSE_STORAGE_DENSITY * a.shape[0] ** 2:
+                a = a.toarray()
+                a.flags.writeable = False
         if a.shape[0] and degrees.min() <= 0.0:
             node = int(np.argmin(degrees))
             raise InvalidGraphError(f"node {node} has zero degree")
         self._adj = a
         self._degrees = degrees
         self._embeddings = {}  # k -> Embedding
-
-    @classmethod
-    def from_entries(cls, n, entries):
-        """Build from (i, j, w) triples, one per unordered pair.
-
-        Duplicate pairs are summed.  Each off-diagonal triple is mirrored.
-        """
-        rows, cols, vals = [], [], []
-        for i, j, w in entries:
-            if not (0 <= i < n and 0 <= j < n):
-                raise InvalidGraphError(f"entry ({i}, {j}) out of range for n={n}")
-            if w <= 0:
-                raise InvalidGraphError(f"weight for pair ({i}, {j}) must be positive, got {w}")
-            rows.append(i)
-            cols.append(j)
-            vals.append(w)
-            if i != j:
-                rows.append(j)
-                cols.append(i)
-                vals.append(w)
-        a = sp.coo_matrix((vals, (rows, cols)), shape=(n, n))
-        return cls(a)
 
     @property
     def n(self):
@@ -208,15 +190,20 @@ class Partition:
         )
 
 
-def _dense_components(a):
-    """Connected components of a dense symmetric adjacency, numbered from
-    the smallest node up as ``connected_components`` numbers them.
+def _components(a):
+    """(count, labels) of the connected components of a symmetric adjacency
+    held dense or as CSR, numbered from the smallest node up.
 
-    Breadth-first search: each level reads the rows of its frontier, a
-    block at a time and only in the columns of nodes not reached yet, so
-    every row is read at most once and no n x n temporary is made.
-    ``connected_components`` itself would first copy the array into CSR.
+    CSR goes to ``connected_components``: on a symmetric adjacency strong
+    and weak components coincide, and the strong search is about three
+    times faster than directed=False.  It would first copy a dense array
+    into CSR, so a dense one is searched breadth-first: each level reads
+    the rows of its frontier, a block at a time and only in the columns of
+    nodes not reached yet, so every row is read at most once and no n x n
+    temporary is made.
     """
+    if not isinstance(a, np.ndarray):
+        return connected_components(a, directed=True, connection="strong")
     n = a.shape[0]
     labels = np.full(n, -1, dtype=np.int64)
     count = 0
@@ -232,60 +219,6 @@ def _dense_components(a):
             frontier = unseen[reached]
         count += 1
     return count, labels
-
-
-class NormalizedLaplacian:
-    """Symmetric operator L = I - S with S = D^{-1/2} W D^{-1/2}.
-
-    ``adjacency`` holds S, as a dense array when at least half of its
-    entries are nonzero and as CSR otherwise.  ``kernel`` is the n x c
-    sparse orthonormal basis of the null space of L: column i is sqrt(d)
-    on the nodes of connected component i and zero elsewhere.
-    """
-
-    def __init__(self, graph: WeightedGraph):
-        a = graph.adjacency
-        n = graph.n
-        dinv = 1.0 / np.sqrt(graph.degrees)
-        dense = isinstance(a, np.ndarray)
-        if dense:
-            s = a * dinv[:, None]  # a scaled copy: the graph keeps W
-            s *= dinv[None, :]
-        elif a.nnz >= DENSE_STORAGE_DENSITY * n * n:
-            s = a.toarray()
-            s *= dinv[:, None]
-            s *= dinv[None, :]
-        else:
-            data = a.data * np.repeat(dinv, np.diff(a.indptr))
-            data *= dinv[a.indices]
-            s = sp.csr_matrix((data, a.indices, a.indptr), shape=a.shape)
-        self.adjacency = s
-        self.n = n
-
-        if dense:
-            count, labels = _dense_components(a)
-        else:
-            # on a symmetric adjacency strong and weak components coincide, and
-            # the strong search is about three times faster than directed=False
-            count, labels = connected_components(a, directed=True,
-                                                 connection="strong")
-        sqrt_d = np.sqrt(graph.degrees)
-        norms = np.sqrt(np.bincount(labels, weights=graph.degrees, minlength=count))
-        self.kernel = sp.csr_matrix(
-            (sqrt_d / norms[labels], (np.arange(n), labels)), shape=(n, count)
-        )
-
-    def dot(self, x):
-        return x - self.adjacency @ x
-
-    def toarray(self):
-        s = self.adjacency
-        return np.eye(self.n) - (s if isinstance(s, np.ndarray) else s.toarray())
-
-
-def normalized_laplacian(graph: WeightedGraph) -> NormalizedLaplacian:
-    """Normalized Laplacian of a graph with positive degrees."""
-    return NormalizedLaplacian(graph)
 
 
 def _conductances(graph: WeightedGraph, labels, k):

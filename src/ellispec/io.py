@@ -23,19 +23,25 @@ def read_graph(path) -> WeightedGraph:
 
     Duplicate entries are summed (COO semantics).  ``array`` files and
     ``pattern`` files (no weights) are rejected; ``general`` coordinate
-    files are read and must hold a symmetric matrix.
+    files are read and must hold a symmetric matrix.  A file the Matrix
+    Market parser cannot read (no banner, a bad header, a missing line,
+    an index out of range) raises InvalidGraphError naming the path.
     """
-    # mminfo takes the path: on an open file it aborts the interpreter
-    # (SciPy 1.17)
-    *_, layout, field, symmetry = scipy.io.mminfo(path)
-    if layout != "coordinate" or field == "pattern":
+    try:
+        # mminfo takes the path: on an open file it aborts the interpreter
+        # (SciPy 1.17)
+        *_, layout, field, symmetry = scipy.io.mminfo(path)
+        if layout != "coordinate" or field == "pattern":
+            raise InvalidGraphError(
+                f"{path}: unsupported Matrix Market header "
+                f"'{layout} {field} {symmetry}': a graph file must be "
+                f"coordinate with explicit weights"
+            )
+        with open(path, "rb") as fh:
+            mat = scipy.io.mmread(fh)
+    except ValueError as exc:
         raise InvalidGraphError(
-            f"{path}: unsupported Matrix Market header "
-            f"'{layout} {field} {symmetry}': a graph file must be "
-            f"coordinate with explicit weights"
-        )
-    with open(path, "rb") as fh:
-        mat = scipy.io.mmread(fh)
+            f"{path}: malformed Matrix Market file: {exc}") from exc
     return WeightedGraph(sp.csr_matrix(mat))
 
 

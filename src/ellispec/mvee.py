@@ -38,10 +38,6 @@ class Ellipsoid:
     epsilon_achieved: float
     active: np.ndarray
 
-    @property
-    def k(self):
-        return self.X.shape[0]
-
 
 def solve_mvee(P: np.ndarray, eps: float = DEFAULT_EPS,
                tau_active: float = DEFAULT_TAU_ACTIVE,

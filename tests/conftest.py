@@ -26,6 +26,12 @@ def dense(adjacency):
     return adjacency if isinstance(adjacency, np.ndarray) else adjacency.toarray()
 
 
+def laplacian(graph):
+    """The normalized Laplacian I - D^{-1/2} W D^{-1/2} as an ndarray."""
+    dinv = 1.0 / np.sqrt(graph.degrees)
+    return np.eye(graph.n) - dense(graph.adjacency) * np.outer(dinv, dinv)
+
+
 def random_partition(rng, n, k):
     """Random k-way labels with every cluster guaranteed nonempty."""
     if n < k:

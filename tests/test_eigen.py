@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -11,19 +13,19 @@ from ellispec import (
     bottom_k_eigs,
     elli_cluster,
     gap_diagnostics,
-    normalized_laplacian,
     partition_profile,
     synth_adjacency,
 )
 import ellispec.eigen
 from ellispec.eigen import DENSE_THRESHOLD
+from ellispec.elli import graph_embedding
 
-from conftest import random_graph
+from conftest import laplacian, random_graph
 
 
 def test_two_node_path():
-    g = WeightedGraph.from_entries(2, [(0, 1, 1.0)])
-    emb = bottom_k_eigs(normalized_laplacian(g), 1)
+    g = WeightedGraph(np.array([[0.0, 1.0], [1.0, 0.0]]))
+    emb = bottom_k_eigs(g, 1)
     assert emb.eigenvalues[0] == pytest.approx(0.0, abs=1e-12)
     assert emb.lambda_next == pytest.approx(2.0)
     expected = np.sqrt(g.degrees)
@@ -35,28 +37,27 @@ def test_disjoint_cliques():
     k, size = 3, 8
     w = sp.csr_matrix(sp.block_diag([np.ones((size, size)) - np.eye(size)] * k))
     w.eliminate_zeros()
-    emb = bottom_k_eigs(normalized_laplacian(WeightedGraph(w)), k)
+    emb = bottom_k_eigs(WeightedGraph(w), k)
     assert np.all(np.abs(emb.eigenvalues) < 1e-10)
     assert emb.lambda_next > 1e-6
 
 
 def test_k_out_of_range(rng):
     g = random_graph(rng, 6)
-    lap = normalized_laplacian(g)
     with pytest.raises(ValueError):
-        bottom_k_eigs(lap, 6)
+        bottom_k_eigs(g, 6)
     with pytest.raises(ValueError):
-        bottom_k_eigs(lap, 0)
+        bottom_k_eigs(g, 0)
 
 
 def test_embedding_invariants(rng):
     for _ in range(5):
         n = int(rng.integers(10, 80))
         k = int(rng.integers(1, 6))
-        lap = normalized_laplacian(random_graph(rng, n))
-        emb = bottom_k_eigs(lap, k)
+        g = random_graph(rng, n)
+        emb = bottom_k_eigs(g, k)
         assert np.abs(emb.P @ emb.P.T - np.eye(k)).max() < 1e-8
-        resid = lap.dot(emb.P.T) - emb.P.T * emb.eigenvalues[None, :]
+        resid = laplacian(g) @ emb.P.T - emb.P.T * emb.eigenvalues[None, :]
         assert np.linalg.norm(resid, axis=0).max() < 1e-8
         assert np.all(np.diff(emb.eigenvalues) >= -1e-12)
         assert emb.eigenvalues[0] >= -1e-10
@@ -64,20 +65,21 @@ def test_embedding_invariants(rng):
         assert emb.lambda_next >= emb.eigenvalues[-1] - 1e-12
 
 
-def eigs_with_threshold(monkeypatch, threshold, lap, k):
+def eigs_with_threshold(monkeypatch, threshold, graph, k):
     """bottom_k_eigs with the dense/ARPACK size cutoff set to ``threshold``."""
     with monkeypatch.context() as m:
         m.setattr(ellispec.eigen, "DENSE_THRESHOLD", threshold)
-        return bottom_k_eigs(lap, k)
+        return bottom_k_eigs(graph, k)
 
 
 def test_arpack_matches_dense(rng, monkeypatch):
     for _ in range(5):
         n = int(rng.integers(40, 120))
         k = int(rng.integers(2, 6))
-        lap = normalized_laplacian(random_graph(rng, n, density=0.1))
-        dense = bottom_k_eigs(lap, k)
-        arpack = eigs_with_threshold(monkeypatch, 1, lap, k)
+        g = random_graph(rng, n, density=0.1)
+        assert sp.issparse(g.adjacency)
+        dense = bottom_k_eigs(g, k)
+        arpack = eigs_with_threshold(monkeypatch, 1, g, k)
         assert np.abs(dense.eigenvalues - arpack.eigenvalues).max() < 1e-8
         assert abs(dense.lambda_next - arpack.lambda_next) < 1e-8
         angles = scipy.linalg.subspace_angles(dense.P.T, arpack.P.T)
@@ -85,12 +87,12 @@ def test_arpack_matches_dense(rng, monkeypatch):
 
 
 def test_arpack_matches_dense_on_dense_storage(rng, monkeypatch):
-    # above half density the normalized adjacency is held as a dense array
+    # above half density the adjacency is held as a dense array
     n, k = 60, 4
-    lap = normalized_laplacian(random_graph(rng, n, density=0.9))
-    assert isinstance(lap.adjacency, np.ndarray)
-    dense = bottom_k_eigs(lap, k)
-    arpack = eigs_with_threshold(monkeypatch, 1, lap, k)
+    g = random_graph(rng, n, density=0.9)
+    assert isinstance(g.adjacency, np.ndarray)
+    dense = bottom_k_eigs(g, k)
+    arpack = eigs_with_threshold(monkeypatch, 1, g, k)
     assert abs(dense.lambda_next - arpack.lambda_next) < 1e-8
     angles = scipy.linalg.subspace_angles(dense.P.T, arpack.P.T)
     assert angles.max() < 1e-6
@@ -100,23 +102,38 @@ def test_arpack_on_disconnected_graph(monkeypatch):
     # 20 components: the eigenvalue 0 has multiplicity 20, which a
     # single-vector Krylov method cannot resolve without deflation
     inst = synth_adjacency([110] * 20, 0.0, 0)
-    lap = normalized_laplacian(inst.graph)
-    assert lap.n > DENSE_THRESHOLD
-    arpack = bottom_k_eigs(lap, 20)
-    dense = eigs_with_threshold(monkeypatch, lap.n, lap, 20)
+    g = inst.graph
+    assert g.n > DENSE_THRESHOLD
+    arpack = bottom_k_eigs(g, 20)
+    dense = eigs_with_threshold(monkeypatch, g.n, g, 20)
     assert np.all(np.abs(arpack.eigenvalues) < 1e-10)
     assert abs(arpack.lambda_next - dense.lambda_next) < 1e-8
     assert accuracy(elli_cluster(inst.graph, 20).partition, inst.truth) == 1.0
+
+
+def test_arpack_embedding_peak_memory():
+    # the solve reads W itself and holds no scaled n x n copy of it, which
+    # alone would take 8n^2 bytes
+    g = synth_adjacency([120] * 10, 0.5, 0).graph
+    n = g.n
+    assert n > DENSE_THRESHOLD and isinstance(g.adjacency, np.ndarray)
+    tracemalloc.start()
+    try:
+        graph_embedding(g, 10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5 * 8 * n * n
 
 
 @pytest.mark.parametrize("dense_threshold", [DENSE_THRESHOLD, 1])
 def test_more_components_than_k(dense_threshold, monkeypatch):
     monkeypatch.setattr(ellispec.eigen, "DENSE_THRESHOLD", dense_threshold)
     triangle = np.ones((3, 3)) - np.eye(3)
-    lap = normalized_laplacian(WeightedGraph(sp.block_diag([triangle] * 4)))
+    g = WeightedGraph(sp.block_diag([triangle] * 4))
     with pytest.raises(InvalidGraphError, match="4 connected components"):
-        bottom_k_eigs(lap, 2)
-    emb = bottom_k_eigs(lap, 4)
+        bottom_k_eigs(g, 2)
+    emb = bottom_k_eigs(g, 4)
     assert np.all(np.abs(emb.eigenvalues) < 1e-10)
     assert emb.lambda_next == pytest.approx(1.5)
 
@@ -126,20 +143,21 @@ def test_permutation_invariance_as_subspace(rng):
     g = random_graph(rng, n)
     perm = rng.permutation(n)
     permuted = WeightedGraph(g.adjacency[np.ix_(perm, perm)])
-    emb = bottom_k_eigs(normalized_laplacian(g), k)
-    emb_p = bottom_k_eigs(normalized_laplacian(permuted), k)
+    emb = bottom_k_eigs(g, k)
+    emb_p = bottom_k_eigs(permuted, k)
     angles = scipy.linalg.subspace_angles(emb.P[:, perm].T, emb_p.P.T)
     assert angles.max() < 1e-6
 
 
 def test_gap_diagnostics_four_cycle():
-    g = WeightedGraph.from_entries(4, [(0, 1, 1.0), (1, 2, 1.0),
-                                       (2, 3, 1.0), (3, 0, 1.0)])
-    lap = normalized_laplacian(g)
-    emb = bottom_k_eigs(lap, 2)
+    w = np.zeros((4, 4))
+    for i in range(4):
+        w[i, (i + 1) % 4] = w[(i + 1) % 4, i] = 1.0
+    g = WeightedGraph(w)
+    emb = bottom_k_eigs(g, 2)
     profile = partition_profile(g, Partition([0, 0, 1, 1]))
     diag = gap_diagnostics(emb, profile)
-    lambda3 = np.sort(np.linalg.eigvalsh(lap.toarray()))[2]
+    lambda3 = np.sort(np.linalg.eigvalsh(laplacian(g)))[2]
     assert diag["ratio"] == pytest.approx(lambda3 / 0.5)
 
 
@@ -147,7 +165,6 @@ def test_gap_diagnostics_zero_mcc():
     from ellispec import synth_adjacency
 
     inst = synth_adjacency([10, 12], 0.0, 1)
-    lap = normalized_laplacian(inst.graph)
-    emb = bottom_k_eigs(lap, 2)
+    emb = bottom_k_eigs(inst.graph, 2)
     profile = partition_profile(inst.graph, inst.truth)
     assert gap_diagnostics(emb, profile)["ratio"] == np.inf

@@ -12,22 +12,25 @@ from ellispec import (
     WeightedGraph,
     bottom_k_eigs,
     conductance,
-    normalized_laplacian,
     partition_profile,
     synth_adjacency,
 )
 from ellispec import graph as graph_module
+from ellispec.eigen import _kernel
 
-from conftest import brute_conductance, dense, random_graph, random_partition
+from conftest import (brute_conductance, dense, laplacian, random_graph,
+                      random_partition)
 
 
 def path2():
-    return WeightedGraph.from_entries(2, [(0, 1, 1.0)])
+    return WeightedGraph(np.array([[0.0, 1.0], [1.0, 0.0]]))
 
 
 def four_cycle():
-    return WeightedGraph.from_entries(4, [(0, 1, 1.0), (1, 2, 1.0),
-                                          (2, 3, 1.0), (3, 0, 1.0)])
+    w = np.zeros((4, 4))
+    for i in range(4):
+        w[i, (i + 1) % 4] = w[(i + 1) % 4, i] = 1.0
+    return WeightedGraph(w)
 
 
 class TestWeightedGraph:
@@ -38,7 +41,7 @@ class TestWeightedGraph:
 
     def test_nonpositive_weight_rejected(self):
         with pytest.raises(InvalidGraphError):
-            WeightedGraph.from_entries(2, [(0, 1, -1.0)])
+            WeightedGraph(np.array([[0.0, -1.0], [-1.0, 0.0]]))
 
     @pytest.mark.parametrize("weight", [np.inf, np.nan])
     def test_non_finite_weight_rejected_and_named(self, weight):
@@ -58,7 +61,9 @@ class TestWeightedGraph:
             WeightedGraph(sp.csr_matrix(m))
 
     def test_duplicate_entries_summed(self):
-        g = WeightedGraph.from_entries(2, [(0, 1, 1.0), (0, 1, 2.0)])
+        g = WeightedGraph(sp.coo_matrix(([1.0, 2.0, 1.0, 2.0],
+                                         ([0, 0, 1, 1], [1, 1, 0, 0])),
+                                        shape=(2, 2)))
         assert g.adjacency[0, 1] == 3.0
 
     def test_storage_follows_density(self):
@@ -69,6 +74,12 @@ class TestWeightedGraph:
         full[0, 0] = 5.0  # the constructor copied the caller's array
         assert g.adjacency[0, 0] == 1.0
         assert sp.issparse(WeightedGraph(np.eye(3)).adjacency)  # 1/3 nonzero
+        # sparse input follows the same rule
+        g = WeightedGraph(sp.csr_matrix(full))
+        assert isinstance(g.adjacency, np.ndarray)
+        assert not g.adjacency.flags.writeable
+        assert np.array_equal(g.adjacency, full)
+        assert sp.issparse(WeightedGraph(sp.csr_matrix(np.eye(3))).adjacency)
 
     def test_dense_array_handed_over_without_copy(self):
         w = np.ones((3, 3))
@@ -77,7 +88,7 @@ class TestWeightedGraph:
         assert not w.flags.writeable
 
     def test_degrees_include_self_loops(self):
-        g = WeightedGraph.from_entries(2, [(0, 1, 1.0), (0, 0, 2.0)])
+        g = WeightedGraph(np.array([[2.0, 1.0], [1.0, 0.0]]))
         assert g.degrees[0] == 3.0
         assert g.degrees[1] == 1.0
 
@@ -121,33 +132,38 @@ def test_ndarray_and_csr_rejected_alike(case):
 
 
 class TestNormalizedLaplacian:
+    """The normalized Laplacian L = I - D^{-1/2} W D^{-1/2} of a graph and
+    the null-space basis the embedding deflates."""
+
     def test_two_node_path(self):
-        lap = normalized_laplacian(path2())
-        assert np.allclose(lap.toarray(), [[1.0, -1.0], [-1.0, 1.0]])
+        assert np.allclose(laplacian(path2()), [[1.0, -1.0], [-1.0, 1.0]])
 
     def test_kernel_vector(self, rng):
         for n in (5, 20, 60):
             g = random_graph(rng, n)
-            lap = normalized_laplacian(g)
             v = np.sqrt(g.degrees)
-            assert np.linalg.norm(lap.dot(v)) <= 1e-10 * np.linalg.norm(v)
+            assert np.linalg.norm(laplacian(g) @ v) <= 1e-10 * np.linalg.norm(v)
+            kernel = _kernel(g).toarray()
+            assert kernel.shape == (n, 1)
+            np.testing.assert_allclose(kernel[:, 0], v / np.linalg.norm(v),
+                                       rtol=0, atol=1e-14)
 
     def test_disjoint_cliques_null_space(self, rng):
         k, size = 4, 6
         blocks = [np.ones((size, size)) - np.eye(size)] * k
         w = sp.block_diag(blocks)
-        lap = normalized_laplacian(WeightedGraph(w))
-        vals = np.linalg.eigvalsh(lap.toarray())
+        g = WeightedGraph(w)
+        vals = np.linalg.eigvalsh(laplacian(g))
         assert np.sum(np.abs(vals) < 1e-10) == k
+        assert _kernel(g).shape == (k * size, k)
 
     def test_two_dense_components(self):
         # two complete blocks with self-loops fill exactly half the entries
         g = WeightedGraph(sp.block_diag([np.ones((4, 4))] * 2).toarray())
         assert isinstance(g.adjacency, np.ndarray)
-        lap = normalized_laplacian(g)
-        assert lap.kernel.shape == (8, 2)
+        assert _kernel(g).shape == (8, 2)
         with pytest.raises(InvalidGraphError, match="2 connected components"):
-            bottom_k_eigs(lap, 1)
+            bottom_k_eigs(g, 1)
 
     @pytest.mark.parametrize("block_rows", [2, 256])
     def test_dense_components_match_csr(self, rng, monkeypatch, block_rows):
@@ -160,14 +176,14 @@ class TestNormalizedLaplacian:
         w = w[np.ix_(perm, perm)]
         g = WeightedGraph(w)
         assert isinstance(g.adjacency, np.ndarray)
-        kernel = normalized_laplacian(g).kernel.toarray()
-        csr = normalized_laplacian(WeightedGraph(sp.csr_matrix(w)))
-        assert kernel.shape == (23, 3)
-        assert np.array_equal(kernel, csr.kernel.toarray())
+        count, labels = graph_module._components(g.adjacency)
+        csr_count, csr_labels = graph_module._components(sp.csr_matrix(w))
+        assert count == csr_count == 3
+        assert np.array_equal(labels, csr_labels)
 
     def test_spectrum_in_range(self, rng):
         g = random_graph(rng, 30)
-        vals = np.linalg.eigvalsh(normalized_laplacian(g).toarray())
+        vals = np.linalg.eigvalsh(laplacian(g))
         assert vals.min() >= -1e-10
         assert vals.max() <= 2 + 1e-10
 
@@ -186,7 +202,7 @@ class TestConductance:
         assert conductance(g, {3}) == pytest.approx(1.0)
 
     def test_singleton_with_self_loop(self):
-        g = WeightedGraph.from_entries(2, [(0, 1, 1.0), (0, 0, 1.0)])
+        g = WeightedGraph(np.array([[1.0, 1.0], [1.0, 0.0]]))
         # degree 2, cut 1: the self-loop stays inside
         assert conductance(g, {0}) == pytest.approx(0.5)
 
@@ -201,11 +217,10 @@ class TestConductance:
         for _ in range(10):
             n = int(rng.integers(5, 50))
             g = random_graph(rng, n)
-            dense = g.adjacency.toarray()
             size = int(rng.integers(1, n))
             cluster = rng.choice(n, size=size, replace=False)
             assert conductance(g, cluster) == pytest.approx(
-                brute_conductance(dense, g.degrees, cluster), abs=1e-12
+                brute_conductance(dense(g.adjacency), g.degrees, cluster), abs=1e-12
             )
 
     def test_weight_scaling_invariance(self, rng):
@@ -220,7 +235,6 @@ class TestConductance:
         for _ in range(10):
             n = int(rng.integers(6, 40))
             g = random_graph(rng, n)
-            lap = normalized_laplacian(g)
             size = int(rng.integers(1, n))
             cluster = rng.choice(n, size=size, replace=False)
             ind = np.zeros(n)
@@ -228,7 +242,7 @@ class TestConductance:
             gbar = np.sqrt(g.degrees) * ind
             gbar /= np.linalg.norm(gbar)
             assert conductance(g, cluster) == pytest.approx(
-                float(gbar @ lap.dot(gbar)), abs=1e-8
+                float(gbar @ laplacian(g) @ gbar), abs=1e-8
             )
 
 

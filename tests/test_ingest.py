@@ -11,6 +11,8 @@ from ellispec import InvalidGraphError, VectorDataset, cosine_knn_graph, load_cs
 from ellispec import ingest
 from ellispec.ingest import save_vds
 
+from conftest import dense
+
 
 def brute_cosine_knn(X, p):
     """Straightforward per-row neighbor scan for the OR rule."""
@@ -96,9 +98,9 @@ class TestFileFormats:
 
 
 def assert_matches_brute_force(X, p):
-    a = cosine_knn_graph(VectorDataset(X), p).adjacency
-    assert (a != a.T).nnz == 0  # bitwise symmetric
-    np.testing.assert_allclose(a.toarray(), brute_cosine_knn(X, p),
+    w = dense(cosine_knn_graph(VectorDataset(X), p).adjacency)
+    assert np.array_equal(w, w.T)  # bitwise symmetric
+    np.testing.assert_allclose(w, brute_cosine_knn(X, p),
                                rtol=0, atol=1e-12)
 
 
@@ -114,7 +116,7 @@ class TestKnnGraph:
         # edge (1,2) survives only through the one-sided OR rule
         X = np.array([[1.0, 0.0], [0.96, 0.28], [0.999, 0.045]])
         graph = cosine_knn_graph(VectorDataset(X), 1)
-        w = graph.adjacency.toarray()
+        w = dense(graph.adjacency)
         assert w[1, 2] > 0 and w[0, 2] > 0 and w[0, 1] == 0
         assert np.allclose(w, w.T)
 
@@ -125,7 +127,7 @@ class TestKnnGraph:
                       [1.0, 0.0, 1.0],
                       [0.0, 1.0, 1.0]])
         graph = cosine_knn_graph(VectorDataset(X), 1)
-        w = graph.adjacency.toarray()
+        w = dense(graph.adjacency)
         assert w[0, 1] == pytest.approx(np.sqrt(0.5))
         assert w[0, 2] == pytest.approx(np.sqrt(0.5))
         assert w[0, 3] == 0.0
@@ -137,7 +139,7 @@ class TestKnnGraph:
         monkeypatch.setattr(ingest, "KNN_BLOCK_ROWS", block_rows)
         X = np.array([[0.5, 1.0, 1.0]] + [[1.0, 1.0, 1.0]] * 11)
         graph = cosine_knn_graph(VectorDataset(X), 1)
-        assert graph.adjacency[0].nnz == 11
+        assert np.count_nonzero(dense(graph.adjacency)[0]) == 11
 
     def test_no_self_loops(self, rng):
         X = rng.uniform(0.1, 1.0, size=(10, 4))
@@ -147,7 +149,7 @@ class TestKnnGraph:
     def test_weights_are_cosines(self):
         X = np.array([[1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
         graph = cosine_knn_graph(VectorDataset(X), 2)
-        w = graph.adjacency.toarray()
+        w = dense(graph.adjacency)
         assert w[0, 1] == pytest.approx(np.sqrt(0.5))
         assert w[0, 2] == 0.0  # orthogonal vectors carry no edge weight
 
@@ -168,7 +170,7 @@ class TestKnnGraph:
     def test_full_p_gives_complete_graph(self, rng):
         X = rng.uniform(0.1, 1.0, size=(8, 3))
         graph = cosine_knn_graph(VectorDataset(X), 7)
-        w = graph.adjacency.toarray()
+        w = dense(graph.adjacency)
         assert np.all(w[~np.eye(8, dtype=bool)] > 0.0)
 
 
@@ -190,7 +192,7 @@ class TestKnnBlocks:
         # so the edge (1, 6) exists only through the OR rule
         angles = np.array([0.0, 0.05, 1.2, 1.25, 1.5, 1.45, 0.3])
         X = np.column_stack([np.cos(angles), np.sin(angles)])
-        w = cosine_knn_graph(VectorDataset(X), 1).adjacency.toarray()
+        w = dense(cosine_knn_graph(VectorDataset(X), 1).adjacency)
         assert w[1, 6] > 0 and w[0, 6] == 0
         assert_matches_brute_force(X, 1)
 
@@ -200,14 +202,14 @@ class TestKnnBlocks:
                       [0.0, 1.0, 1.0],
                       [1.0, 1.0, 0.0],
                       [1.0, 0.0, 1.0]])
-        w = cosine_knn_graph(VectorDataset(X), 1).adjacency.toarray()
+        w = dense(cosine_knn_graph(VectorDataset(X), 1).adjacency)
         assert w[0, 2] == w[0, 3] == pytest.approx(np.sqrt(0.5))
         assert w[0, 1] == 0.0
         assert_matches_brute_force(X, 1)
 
     def test_full_p_gives_complete_graph(self, rng):
         X = rng.uniform(0.1, 1.0, size=(8, 3))
-        w = cosine_knn_graph(VectorDataset(X), 7).adjacency.toarray()
+        w = dense(cosine_knn_graph(VectorDataset(X), 7).adjacency)
         assert np.all(w[~np.eye(8, dtype=bool)] > 0.0)
         assert_matches_brute_force(X, 7)
 

@@ -4,15 +4,14 @@ import weakref
 
 import numpy as np
 import pytest
+import scipy.io
 import scipy.sparse as sp
 
 import ellispec.io
 from ellispec import (
     InvalidPartitionError,
     Partition,
-    WeightedGraph,
     bottom_k_eigs,
-    normalized_laplacian,
     read_graph,
     read_labels,
     synth_adjacency,
@@ -45,10 +44,22 @@ class TestGraphFiles:
         assert isinstance(g.adjacency, np.ndarray)
         path, csr_path = tmp_path / "g.mtx", tmp_path / "csr.mtx"
         write_graph(g, path)
-        write_graph(WeightedGraph(sp.csr_matrix(g.adjacency)), csr_path)
+        # what write_graph writes for a CSR adjacency
+        scipy.io.mmwrite(csr_path, sp.tril(sp.csr_matrix(g.adjacency)).tocoo(),
+                         symmetry="symmetric")
         assert path.read_bytes() == csr_path.read_bytes()
         back = read_graph(path)
         np.testing.assert_allclose(dense(back.adjacency), g.adjacency,
+                                   rtol=1e-12, atol=0)
+
+    def test_dense_file_read_as_dense(self, tmp_path):
+        g = synth_adjacency([30, 40], 0.5, 2).graph
+        path = tmp_path / "g.mtx"
+        write_graph(g, path)
+        back = read_graph(path)
+        assert isinstance(back.adjacency, np.ndarray)
+        assert not back.adjacency.flags.writeable
+        np.testing.assert_allclose(back.adjacency, g.adjacency,
                                    rtol=1e-12, atol=0)
 
     def test_general_coordinate_file_read(self, tmp_path):
@@ -118,7 +129,7 @@ class TestLabelFiles:
 class TestEmbeddingDump:
     def test_layout(self, rng, tmp_path):
         g = random_graph(rng, 12)
-        emb = bottom_k_eigs(normalized_laplacian(g), 3)
+        emb = bottom_k_eigs(g, 3)
         path = tmp_path / "emb.txt"
         write_embedding(emb, path)
         lines = path.read_text().splitlines()
@@ -300,6 +311,22 @@ class TestCliExitCodes:
         assert main(["cluster", "--algo", "elli", "--graph", str(path),
                      "--k", "2"]) == 5
         assert header in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", [
+        # truncated: the size line promises three entries
+        "%%MatrixMarket matrix coordinate real symmetric\n3 3 3\n2 1 1.0\n",
+        "%%MatrixMarket matrix coordinate real bogus\n2 2 1\n2 1 1.0\n",
+        "%%MatrixMarket matrix coordinate real symmetric\n2 2 1\n5 1 1.0\n",
+        "2 2 1\n2 1 1.0\n",  # no banner
+        "",
+    ], ids=["truncated", "bad-header", "index-out-of-range", "no-banner",
+            "empty"])
+    def test_malformed_files_are_invalid_graph(self, text, tmp_path, capsys):
+        path = tmp_path / "bad.mtx"
+        path.write_text(text)
+        assert main(["cluster", "--algo", "elli", "--graph", str(path),
+                     "--k", "2"]) == 5
+        assert f"{path}: malformed Matrix Market file" in capsys.readouterr().err
 
     @pytest.mark.parametrize("weight", ["inf", "nan"])
     def test_non_finite_weight_is_invalid_graph(self, weight, tmp_path, capsys):
