@@ -142,6 +142,8 @@ def _cmd_cluster(args):
             "spa_fallback": result.spa_fallback,
             "tau_active": args.tau_active,
             "mvee_eps": args.mvee_eps,
+            "stats": result.stats,
+            "timings": result.timings,
         })
         records.append(record)
         best = result.partition

@@ -26,7 +26,8 @@ __all__ = ["ElliResult", "group_columns", "graph_embedding", "elli_cluster",
 
 @dataclass
 class ElliResult:
-    """Partition plus the selected representative columns and stage timings."""
+    """Partition plus the selected representative columns, stage timings
+    and the MVEE solver's counters (``Ellipsoid.stats``)."""
 
     partition: Partition
     representatives: list[int]
@@ -34,6 +35,7 @@ class ElliResult:
     spa_fallback: bool = False
     timings: dict = field(default_factory=dict)
     lambda_next: float | None = None
+    stats: dict = field(default_factory=dict)
 
 
 def group_columns(P, mvee_eps: float = DEFAULT_EPS,
@@ -90,6 +92,7 @@ def group_columns(P, mvee_eps: float = DEFAULT_EPS,
         active_count=len(active),
         spa_fallback=fallback,
         timings={"mvee_s": t1 - t0, "select_s": t2 - t1, "assign_s": t3 - t2},
+        stats=ellipsoid.stats,
     )
 
 

@@ -5,19 +5,31 @@ Solves the convex program
     minimize  -log det X   subject to  p_i^T X p_i <= 1 for all columns p_i
 
 through its dual, the D-optimal design problem
-max log det M(u), M(u) = sum_i u_i p_i p_i^T over the unit simplex,
-by Frank-Wolfe iterations with Khachiyan's step size.  Away (weight
-decrease) steps are taken when they reduce the duality gap faster, which
-is what makes tolerances near 1e-7 reachable in a few thousand
-iterations.  The primal solution is recovered as X = M(u)^{-1} / k.
+max log det M(u), M(u) = sum_i u_i p_i p_i^T over the unit simplex, whose
+gradient is g_i = p_i^T M(u)^{-1} p_i.  The solve runs on a working set W
+of columns, a core set (Kumar & Yildirim 2005) that starts at the k
+successive-projection columns:
+
+- inside W, a Khachiyan step (Frank-Wolfe with exact line search) raises
+  the weight of each column with g_i > (1 + eps) k, largest g first;
+- equality-constrained Newton steps on log det M(u) then make g equal
+  across the support {u_i > 0}; a step that would push a weight below
+  zero stops at zero and drops that column (Todd & Yildirim 2007);
+- pricing computes g over all n columns, adds up to max(50, 2k) of the
+  columns that violate the certificate to W, and the solve repeats.
+
+|W| stays near k to 2k, so each step costs O(|W| k^2 + k^3) and
+refactorizes M(u) from the weights.  The primal solution is recovered as
+X = M(u)^{-1} / k.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import lstsq
 
 from ._errors import ConvergenceError
 from .spa import spa_select
@@ -26,17 +38,18 @@ __all__ = ["Ellipsoid", "solve_mvee", "active_indices"]
 
 DEFAULT_EPS = 1e-7
 DEFAULT_TAU_ACTIVE = 1e-5
-REFACTOR_PERIOD = 50
 
 
 @dataclass
 class Ellipsoid:
-    """Shape matrix X, dual simplex weights u, and the boundary index set."""
+    """Shape matrix X, dual simplex weights u, the boundary index set, and
+    the solver's counters."""
 
     X: np.ndarray
     u: np.ndarray
     epsilon_achieved: float
     active: np.ndarray
+    stats: dict = field(default_factory=dict)
 
 
 def solve_mvee(P: np.ndarray, eps: float = DEFAULT_EPS,
@@ -44,87 +57,150 @@ def solve_mvee(P: np.ndarray, eps: float = DEFAULT_EPS,
                max_iter: int | None = None) -> Ellipsoid:
     """Origin-centered MVEE of the columns of the k x n matrix P.
 
-    Terminates when max_i p_i^T M(u)^{-1} p_i <= (1 + eps) * k, the
-    equivalence-theorem certificate; -log det X is then within
-    k*log(1+eps) of optimal.
+    Terminates when max_i p_i^T M(u)^{-1} p_i <= (1 + eps) * k on a fresh
+    factorization, the equivalence-theorem certificate; -log det X is then
+    within k*log(1+eps) of optimal.  ``max_iter`` bounds the Khachiyan and
+    Newton steps together.
     """
     P = np.asarray(P, dtype=np.float64)
     k, n = P.shape
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    if not (eps > 0 and math.isfinite(eps)):
+        raise ValueError(f"eps must be positive and finite, got {eps!r}")
+    if not math.isfinite(tau_active):
+        raise ValueError(f"tau_active must be finite, got {tau_active!r}")
+    bad = np.flatnonzero(~np.isfinite(P).all(axis=0))
+    if bad.size:
+        raise ValueError(f"column {bad[0]} of P is not finite")
     if max_iter is None:
         max_iter = max(1000, int(100 * k * math.log(max(n, 2))))
 
-    # the successive-projection pick of k columns spans R^k (a core-set
-    # start); it raises RankError when the columns do not
+    stats = {"pricing_rounds": 0, "iterations": 0, "khachiyan_steps": 0,
+             "newton_steps": 0, "drop_steps": 0}
+    bound = (1.0 + eps) * k
+    # the successive-projection pick of k columns spans R^k, and equal
+    # weights on it are optimal for those k columns; spa_select raises
+    # RankError when the columns do not span
+    W = np.sort(spa_select(P, range(n), k))
     u = np.zeros(n)
-    u[spa_select(P, range(n), k)] = 1.0 / k
-
-    def factorize(u):
-        M = (P * u[None, :]) @ P.T
-        return np.linalg.inv(M)
-
-    Minv = factorize(u)
-    g = np.einsum("ij,ji->i", P.T @ Minv, P)
-
-    iterations = 0
-    while iterations < max_iter:
-        j_add = int(np.argmax(g))
-        g_add = g[j_add]
-        if g_add / k - 1.0 <= eps:
+    u[W] = 1.0 / k
+    while True:
+        stats["pricing_rounds"] += 1
+        _solve_on(P, W, u, bound, max_iter, stats)
+        # the certificate, on a fresh factorization over all n columns
+        Minv = _inverse(P, u)
+        g = _leverages(P, Minv)
+        gap = float(g.max() / k - 1.0)
+        if gap <= eps:
             break
-        iterations += 1
+        new = np.setdiff1d(np.flatnonzero(g > bound), W)
+        if stats["iterations"] >= max_iter or new.size == 0:
+            # new is empty only when W passed its own check by a rounding
+            # margin that this factorization does not repeat
+            raise ConvergenceError(
+                f"MVEE solver stopped after {stats['iterations']} iterations "
+                f"with relative gap {gap:.3e} > {eps:.1e} (support "
+                f"{np.count_nonzero(u)}, working set {W.size} of {n} columns)",
+                achieved=gap,
+            )
+        new = new[np.argsort(-g[new], kind="stable")[:max(50, 2 * k)]]
+        W = np.union1d(W, new)
 
-        # candidate away step: smallest g over the current support
-        sup = np.flatnonzero(u > 0)
-        j_away = int(sup[np.argmin(g[sup])])
-        g_away = g[j_away]
-
-        if g_add - k >= k - g_away:
-            j, gj = j_add, g_add
-            beta = (gj - k) / (k * (gj - 1.0))
-        else:
-            j, gj = j_away, g_away
-            beta = (gj - k) / (k * (gj - 1.0))
-            # cannot push u_j below zero
-            beta = max(beta, -u[j] / (1.0 - u[j]))
-            if beta == 0.0:
-                j, gj = j_add, g_add
-                beta = (gj - k) / (k * (gj - 1.0))
-
-        u *= 1.0 - beta
-        u[j] += beta
-        u[u < 0] = 0.0
-
-        if iterations % REFACTOR_PERIOD == 0:
-            Minv = factorize(u)
-            g = np.einsum("ij,ji->i", P.T @ Minv, P)
-        else:
-            # rank-one update of M(u)^{-1} after M <- (1-b) M + b p p^T
-            p = P[:, j]
-            Mp = Minv @ p
-            denom = (1.0 - beta) + beta * (p @ Mp)
-            Minv = (Minv - (beta / denom) * np.outer(Mp, Mp)) / (1.0 - beta)
-            PtMp = P.T @ Mp
-            g = (g - (beta / denom) * PtMp**2) / (1.0 - beta)
-
-    # the certificate is checked on a fresh factorization, not on the
-    # rank-one updated inverse
-    Minv = factorize(u)
-    g = np.einsum("ij,ji->i", P.T @ Minv, P)
-    gap = float(g.max() / k - 1.0)
-    if gap > eps:
-        raise ConvergenceError(
-            f"MVEE solver stopped after {iterations} iterations with "
-            f"relative gap {gap:.3e} > {eps:.1e}",
-            achieved=gap,
-        )
+    stats.update(working_set=int(W.size), support=int(np.count_nonzero(u)),
+                 gap=gap)
     X = Minv / k
     X = 0.5 * (X + X.T)
     ell = Ellipsoid(X=X, u=u, epsilon_achieved=gap,
-                    active=np.array([], dtype=np.int64))
+                    active=np.array([], dtype=np.int64), stats=stats)
     ell.active = active_indices(ell, P, tau_active)
     return ell
+
+
+def _inverse(P, u):
+    """M(u)^{-1}, formed from the columns of the support only."""
+    S = np.flatnonzero(u)
+    PS = P[:, S]
+    return np.linalg.inv((PS * u[S]) @ PS.T)
+
+
+def _leverages(P, Minv):
+    """g_i = p_i^T Minv p_i for every column of P."""
+    return np.einsum("ij,ji->i", P.T @ Minv, P)
+
+
+def _solve_on(P, W, u, bound, max_iter, stats):
+    """Raise log det M(u) over the columns W (u changes in place) until
+    every g_i with i in W is at most ``bound`` or the budget is spent."""
+    k = P.shape[0]
+    PW = P[:, W]
+    while stats["iterations"] < max_iter:
+        Minv = _inverse(P, u)
+        g = _leverages(PW, Minv)
+        order = np.argsort(-g, kind="stable")
+        order = order[g[order] > bound]
+        if order.size == 0:
+            return
+        for i in order:
+            if stats["iterations"] >= max_iter:
+                return
+            # the first violator's g is current; later ones moved with the
+            # steps before them
+            gi = g[i] if i == order[0] else PW[:, i] @ Minv @ PW[:, i]
+            if gi <= bound:
+                continue
+            beta = (gi - k) / (k * (gi - 1.0))
+            u *= 1.0 - beta
+            u[W[i]] += beta
+            stats["khachiyan_steps"] += 1
+            stats["iterations"] += 1
+            Minv = _inverse(P, u)
+        _newton(P, u, max_iter, stats)
+
+
+def _newton(P, u, max_iter, stats):
+    """Maximize log det M(u) over the weights of the current support.
+
+    The step solves the KKT system of the quadratic model with sum(d) = 0;
+    minus the Hessian is H_ij = (p_i^T M^{-1} p_j)^2.  It is damped to
+    1/(1 + lambda) while the Newton decrement lambda is at least 1/4 (the
+    self-concordant schedule), and cut short where a weight reaches zero,
+    which drops that column.  Full steps end once the decrement no longer
+    shrinks fourfold, which quadratic convergence guarantees until rounding
+    takes over.
+    """
+    previous = np.inf
+    while stats["iterations"] < max_iter:
+        S = np.flatnonzero(u)
+        PS = P[:, S]
+        G = PS.T @ _inverse(P, u) @ PS
+        H = G * G
+        m = S.size
+        K = np.ones((m + 1, m + 1))
+        K[:m, :m] = H
+        K[m, m] = 0.0
+        # least squares, because K is singular when the p_i p_i^T of the
+        # support are linearly dependent (repeated or opposite columns)
+        d = lstsq(K, np.append(np.diag(G), 0.0), lapack_driver="gelsy",
+                  check_finite=False)[0][:m]
+        dec2 = float(d @ H @ d)
+        full = dec2 < 1.0 / 16.0
+        if dec2 == 0.0 or (full and dec2 > previous / 4.0):
+            return
+        t = 1.0 if full else 1.0 / (1.0 + math.sqrt(dec2))
+        previous = dec2 if full else np.inf
+        stats["newton_steps"] += 1
+        stats["iterations"] += 1
+        neg = np.flatnonzero(d < 0)
+        limits = -u[S[neg]] / d[neg]
+        drop = None
+        if neg.size and limits.min() < t:
+            a = int(np.argmin(limits))
+            t, drop = limits[a], S[neg[a]]
+            stats["drop_steps"] += 1
+            previous = np.inf
+        u[S] = np.maximum(u[S] + t * d, 0.0)
+        if drop is not None:
+            u[drop] = 0.0
+        u /= u.sum()
 
 
 def active_indices(ellipsoid: Ellipsoid, P: np.ndarray,

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from ellispec import Partition, WeightedGraph
+from ellispec import Ellipsoid, Partition, WeightedGraph, active_indices, spa_select
 
 THETA_CONST = 17.0 - 12.0 * np.sqrt(2.0)
 
@@ -118,6 +118,44 @@ def scaled_noise(rng, shape, spectral_norm=None, column_norm=None):
         if s > spectral_norm:
             r *= spectral_norm / s
     return r
+
+
+def reference_mvee(P, eps=1e-10, tau_active=1e-5, max_iter=10**6):
+    """Frank-Wolfe over all n columns with Khachiyan's step size and away
+    steps, refactorizing M(u) every iteration: an independent, slower MVEE
+    solver to check solve_mvee against.  Raises AssertionError if it misses
+    eps within max_iter.
+    """
+    P = np.asarray(P, dtype=np.float64)
+    k, n = P.shape
+    u = np.zeros(n)
+    u[spa_select(P, range(n), k)] = 1.0 / k
+    for _ in range(max_iter):
+        Minv = np.linalg.inv((P * u[None, :]) @ P.T)
+        g = np.einsum("ij,ji->i", P.T @ Minv, P)
+        j_add = int(np.argmax(g))
+        if g[j_add] / k - 1.0 <= eps:
+            break
+        sup = np.flatnonzero(u > 0)
+        j_away = int(sup[np.argmin(g[sup])])
+        j = j_add
+        beta = (g[j] - k) / (k * (g[j] - 1.0))
+        if g[j_add] - k < k - g[j_away]:
+            # away step, cut where u[j_away] reaches zero
+            away = max((g[j_away] - k) / (k * (g[j_away] - 1.0)),
+                       -u[j_away] / (1.0 - u[j_away]))
+            if away != 0.0:
+                j, beta = j_away, away
+        u *= 1.0 - beta
+        u[j] += beta
+        u[u < 0] = 0.0
+    gap = float(g.max() / k - 1.0)
+    assert gap <= eps, f"reference MVEE missed eps: gap {gap:.3e}"
+    X = Minv / k
+    ell = Ellipsoid(X=0.5 * (X + X.T), u=u, epsilon_achieved=gap,
+                    active=np.array([], dtype=np.int64))
+    ell.active = active_indices(ell, P, tau_active)
+    return ell
 
 
 @pytest.fixture

@@ -6,9 +6,11 @@ from ellispec import (
     Partition,
     accuracy,
     alpha_theta_profile,
+    delta_sweep,
     elli_cluster,
     group_columns,
     partition_profile,
+    standard_suites,
     synth_adjacency,
 )
 
@@ -125,6 +127,33 @@ class TestElliCluster:
         result = elli_cluster(inst.graph, 2)
         assert result.lambda_next is not None
         assert 0 < result.lambda_next <= 2 + 1e-10
+
+
+class TestMveeBudgetRegressions:
+    """Instances on which the all-column Frank-Wolfe MVEE ran out of its
+    100 k ln n iteration budget; each must now meet the certificate."""
+
+    def test_n3000_k15(self):
+        inst = synth_adjacency([200] * 15, 0.3, 0)
+        result = elli_cluster(inst.graph, 15)
+        assert accuracy(result.partition, inst.truth) == 1.0
+        assert result.stats["gap"] <= 1e-7
+
+    def test_n4000_k40_seed3(self):
+        inst = synth_adjacency([100] * 40, 0.6, 3)
+        result = elli_cluster(inst.graph, 40)
+        assert result.stats["gap"] <= 1e-7
+
+    def test_desk_seed14(self):
+        for inst in delta_sweep([100] * 10, (0.0, 0.4, 0.8, 1.2), seed=14):
+            assert elli_cluster(inst.graph, 10).stats["gap"] <= 1e-7
+
+    @pytest.mark.parametrize("suite", ["balanced-desk", "unbalanced-desk"])
+    def test_desk_grid(self, suite):
+        sizes = standard_suites()[suite]
+        for seed in range(10):
+            for inst in delta_sweep(sizes, (0.1, 0.2, 0.3, 0.4, 0.5, 0.6), seed=seed):
+                assert elli_cluster(inst.graph, len(sizes)).stats["gap"] <= 1e-7
 
 
 class TestAlphaThetaProfile:

@@ -167,6 +167,30 @@ class TestCliPipeline:
         assert eval_rec["nmi"] == 1.0
         assert eval_rec["mcc"] == 0.0
 
+    def test_elli_record_carries_solver_stats_and_timings(self, tmp_path):
+        g = tmp_path / "g.mtx"
+        rec = tmp_path / "rec.json"
+        main(["synth", "--sizes", "15x3", "--delta", "0.4", "--out", str(g),
+              "--json", str(rec)])
+        assert main(["cluster", "--algo", "elli", "--graph", str(g),
+                     "--k", "3", "--json", str(rec)]) == 0
+        record = read_json_lines(rec)[0]
+        assert set(record["timings"]) == {"embed_s", "mvee_s", "select_s", "assign_s"}
+        stats = record["stats"]
+        assert set(stats) == {"pricing_rounds", "iterations", "khachiyan_steps",
+                              "newton_steps", "drop_steps", "working_set",
+                              "support", "gap"}
+        assert stats["gap"] <= record["mvee_eps"]
+        assert record["active_count"] >= 3 and record["elapsed_s"] > 0
+
+    def test_sweep_past_the_old_mvee_budget_failure(self, tmp_path):
+        # seed 14 at delta 0.4 once ran out of MVEE iterations (exit 4)
+        out = tmp_path / "sweep.json"
+        assert main(["sweep", "--suite", "balanced-desk", "--deltas",
+                     "0,0.4,0.8,1.2", "--seed", "14", "--algos", "elli",
+                     "--json", str(out)]) == 0
+        assert [r["delta"] for r in read_json_lines(out)] == [0.0, 0.4, 0.8, 1.2]
+
     def test_ksc_records_deterministic_up_to_timing(self, tmp_path):
         g = tmp_path / "g.mtx"
         truth = tmp_path / "t.txt"
@@ -275,6 +299,16 @@ class TestCliExitCodes:
               "--json", str(tmp_path / "s.json")])
         assert main(["cluster", "--algo", "elli", "--graph", str(g),
                      "--k", "99", "--json", str(tmp_path / "c.json")]) == 2
+
+    @pytest.mark.parametrize("flag", ["--mvee-eps", "--tau-active"])
+    def test_non_finite_mvee_tolerance_is_usage(self, flag, tmp_path, capsys):
+        g = tmp_path / "g.mtx"
+        main(["synth", "--sizes", "8x2", "--delta", "0.2", "--out", str(g),
+              "--json", str(tmp_path / "s.json")])
+        assert main(["cluster", "--algo", "elli", "--graph", str(g),
+                     "--k", "2", flag, "nan",
+                     "--json", str(tmp_path / "c.json")]) == 2
+        assert "must be" in capsys.readouterr().err
 
     def test_missing_file_is_io(self, tmp_path):
         assert main(["cluster", "--algo", "elli", "--k", "2",

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ellispec import ConvergenceError, RankError, active_indices, solve_mvee
 
-from conftest import random_orthogonal
+from conftest import random_orthogonal, reference_mvee
 
 
 def test_unit_cross():
@@ -108,3 +110,66 @@ def test_matches_convex_oracle(rng):
         prob.solve()
         ours = np.linalg.slogdet(e.X)[1]
         assert ours == pytest.approx(prob.value, abs=1e-5)
+
+
+def test_budget_failure_names_support_and_working_set(rng):
+    P = rng.standard_normal((4, 60))
+    with pytest.raises(ConvergenceError, match=r"support \d+, working set \d+ of 60"):
+        solve_mvee(P, max_iter=3)
+
+
+def test_stats_count_the_solve(rng):
+    P = rng.standard_normal((5, 120))
+    e = solve_mvee(P)
+    s = e.stats
+    assert s["iterations"] == s["khachiyan_steps"] + s["newton_steps"]
+    assert s["drop_steps"] <= s["newton_steps"]
+    assert s["pricing_rounds"] >= 1
+    assert s["support"] == np.count_nonzero(e.u)
+    assert 5 <= s["support"] <= s["working_set"] <= 120
+    assert s["gap"] == e.epsilon_achieved
+
+
+@pytest.mark.parametrize("name", ["eps", "tau_active"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_non_finite_tolerance_rejected(name, value, rng):
+    with pytest.raises(ValueError, match=f"{name} must be .*{value!r}"):
+        solve_mvee(rng.standard_normal((3, 10)), **{name: value})
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_non_finite_columns_rejected(value, rng):
+    P = rng.standard_normal((3, 10))
+    P[1, 7] = value
+    with pytest.raises(ValueError, match="column 7 of P is not finite"):
+        solve_mvee(P)
+
+
+@st.composite
+def mvee_inputs(draw):
+    """A k x n matrix of rank k, with some columns repeated or negated."""
+    k = draw(st.integers(2, 10))
+    n = draw(st.integers(k + 1, 300))
+    distinct = draw(st.integers(k, n))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    P = rng.standard_normal((k, n))
+    copies = rng.integers(0, distinct, size=n - distinct)
+    signs = draw(st.sampled_from([1.0, -1.0, "mixed"]))
+    if signs == "mixed":
+        signs = rng.choice([1.0, -1.0], size=copies.size)
+    P[:, distinct:] = P[:, copies] * signs
+    return P
+
+
+@settings(max_examples=100, deadline=None)
+@given(mvee_inputs())
+def test_matches_reference_solver(P):
+    k = P.shape[0]
+    e = solve_mvee(P)
+    ref = reference_mvee(P)
+    minv = np.linalg.inv((P * e.u[None, :]) @ P.T)
+    assert np.einsum("ij,ji->i", P.T @ minv, P).max() <= (1 + 1e-7) * k
+    assert e.u.min() >= 0
+    assert e.u.sum() == pytest.approx(1.0, abs=1e-12)
+    assert np.allclose(e.X, ref.X, rtol=0, atol=1e-6)
+    assert list(e.active) == list(ref.active)
