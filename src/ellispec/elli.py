@@ -27,7 +27,8 @@ __all__ = ["ElliResult", "group_columns", "graph_embedding", "elli_cluster",
 @dataclass
 class ElliResult:
     """Partition plus the selected representative columns, stage timings
-    and the MVEE solver's counters (``Ellipsoid.stats``)."""
+    and the MVEE solver's counters (``Ellipsoid.stats``); ``elli_cluster``
+    adds the eigensolver's (``Embedding.stats``) under ``stats["embed"]``."""
 
     partition: Partition
     representatives: list[int]
@@ -115,12 +116,17 @@ def graph_embedding(graph: WeightedGraph, k: int) -> Embedding:
 def elli_cluster(graph: WeightedGraph, k: int,
                  mvee_eps: float = DEFAULT_EPS,
                  tau_active: float = DEFAULT_TAU_ACTIVE) -> ElliResult:
-    """Full pipeline: the graph's bottom-k embedding, then the grouping."""
+    """Full pipeline: the graph's bottom-k embedding, then the grouping.
+
+    ``stats["embed"]`` describes the solve that made the embedding, which
+    may have run in an earlier call on the same graph.
+    """
     t0 = time.perf_counter()
     emb = graph_embedding(graph, k)
     t1 = time.perf_counter()
     result = group_columns(emb, mvee_eps=mvee_eps, tau_active=tau_active)
     result.timings["embed_s"] = t1 - t0
+    result.stats["embed"] = dict(emb.stats)
     result.lambda_next = emb.lambda_next
     return result
 

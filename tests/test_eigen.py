@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
+import scipy.sparse.linalg
 
 from ellispec import (
+    ConvergenceError,
     InvalidGraphError,
     Partition,
     WeightedGraph,
@@ -96,6 +98,83 @@ def test_arpack_matches_dense_on_dense_storage(rng, monkeypatch):
     assert abs(dense.lambda_next - arpack.lambda_next) < 1e-8
     angles = scipy.linalg.subspace_angles(dense.P.T, arpack.P.T)
     assert angles.max() < 1e-6
+
+
+def test_arpack_matches_dense_on_dense_storage_with_components(rng, monkeypatch):
+    # full blocks of 60 and 10 nodes with random weights: 74 % nonzero, so
+    # held dense, and two null vectors for the operator to deflate
+    w = sp.block_diag([np.triu(rng.uniform(0.1, 1.0, (m, m)), 1)
+                       for m in (60, 10)]).toarray()
+    g = WeightedGraph(w + w.T)
+    assert isinstance(g.adjacency, np.ndarray)
+    for k in (2, 3, 5):
+        dense = bottom_k_eigs(g, k)
+        arpack = eigs_with_threshold(monkeypatch, 1, g, k)
+        assert arpack.stats["method"] == "arpack"
+        assert np.abs(dense.eigenvalues - arpack.eigenvalues).max() < 1e-8
+        assert abs(dense.lambda_next - arpack.lambda_next) < 1e-8
+        angles = scipy.linalg.subspace_angles(dense.P.T, arpack.P.T)
+        assert angles.max() < 1e-6
+
+
+def test_arpack_eigenpairs_on_dense_synthetic_graph():
+    g = synth_adjacency([120] * 10, 0.5, 0).graph
+    assert g.n > DENSE_THRESHOLD and isinstance(g.adjacency, np.ndarray)
+    stats = elli_cluster(g, 10).stats["embed"]
+    emb = graph_embedding(g, 10)
+    assert stats == emb.stats
+    assert stats["method"] == "arpack" and stats["matvecs"] > 0
+    x = emb.P.T
+    resid = laplacian(g) @ x - x * emb.eigenvalues[None, :]
+    assert np.linalg.norm(resid, axis=0).max() < 1e-10
+    assert np.abs(emb.P @ emb.P.T - np.eye(10)).max() < 1e-10
+
+
+def test_stats_count_the_solve(rng, monkeypatch):
+    g = random_graph(rng, 80, density=0.1)
+    dense = bottom_k_eigs(g, 3)
+    arpack = eigs_with_threshold(monkeypatch, 1, g, 3)
+    assert dense.stats["method"] == "eigh" and dense.stats["matvecs"] == 0
+    assert arpack.stats["method"] == "arpack" and arpack.stats["matvecs"] > 0
+    for emb in (dense, arpack):
+        x = emb.P.T
+        resid = laplacian(g) @ x - x * emb.eigenvalues[None, :]
+        assert emb.stats["worst_residual"] == pytest.approx(
+            np.linalg.norm(resid, axis=0).max(), rel=1e-3, abs=1e-14)
+        assert emb.stats["lambda_k"] == emb.eigenvalues[-1]
+        assert emb.stats["lambda_next"] == emb.lambda_next
+
+
+@pytest.mark.parametrize("converged", [2, 0])
+def test_arpack_failure_reports_converged_residual(rng, monkeypatch, converged):
+    # eigsh gives up with `converged` pairs, perturbed so that their
+    # residual is far from zero and can be recomputed here
+    g = random_graph(rng, 50, density=0.2)
+    real = scipy.sparse.linalg.eigsh
+    given = []
+
+    def giving_up(op, **kw):
+        theta, vecs = real(op, **kw)
+        theta = theta[:converged]
+        vecs = vecs[:, :converged] + 1e-3 * rng.standard_normal((g.n, converged))
+        given.append((theta, vecs))
+        raise scipy.sparse.linalg.ArpackNoConvergence("budget", theta, vecs)
+
+    monkeypatch.setattr(ellispec.eigen, "DENSE_THRESHOLD", 1)
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", giving_up)
+    with pytest.raises(ConvergenceError, match=f"converged {converged} of 3") as info:
+        bottom_k_eigs(g, 3)
+    if not converged:
+        assert info.value.achieved is None
+        return
+    # the operator ARPACK sees: I - L with its null vector moved to -2
+    theta, vecs = given[0]
+    z = np.sqrt(g.degrees) / np.linalg.norm(np.sqrt(g.degrees))
+    op = np.eye(g.n) - laplacian(g) - 3.0 * np.outer(z, z)
+    expected = np.linalg.norm(op @ vecs - vecs * theta, axis=0).max()
+    assert expected > 1e-4
+    assert info.value.achieved == pytest.approx(expected, rel=1e-10)
+    assert f"worst residual of those: {expected:.3e}" in str(info.value)
 
 
 def test_arpack_on_disconnected_graph(monkeypatch):

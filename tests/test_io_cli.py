@@ -179,7 +179,11 @@ class TestCliPipeline:
         stats = record["stats"]
         assert set(stats) == {"pricing_rounds", "iterations", "khachiyan_steps",
                               "newton_steps", "drop_steps", "working_set",
-                              "support", "gap"}
+                              "support", "gap", "embed"}
+        assert stats["embed"]["method"] == "eigh"
+        assert stats["embed"]["matvecs"] == 0
+        assert stats["embed"]["worst_residual"] <= 1e-8
+        assert stats["embed"]["lambda_next"] == record["lambda_next"]
         assert stats["gap"] <= record["mvee_eps"]
         assert record["active_count"] >= 3 and record["elapsed_s"] > 0
 
