@@ -157,6 +157,7 @@ def _cmd_cluster(args):
                 "lambda_next": run.lambda_next,
                 "cost": run.cost,
                 "iterations": run.iterations,
+                "empty_repairs": run.empty_repairs,
                 "elapsed_s": run.elapsed_s,
             })
             records.append(record)
@@ -178,6 +179,13 @@ def _cmd_eval(args):
     return 0
 
 
+def _canonical_bytes(labels):
+    """Label bytes with clusters renumbered by first occurrence, so equal
+    partitions give equal bytes whatever their cluster ids."""
+    first = np.unique(labels, return_index=True)[1]
+    return np.argsort(np.argsort(first))[labels].tobytes()
+
+
 def _sweep_point(inst, algos, trials, seed):
     row = {
         "delta": inst.delta,
@@ -189,17 +197,27 @@ def _sweep_point(inst, algos, trials, seed):
         row["elli_mcc"] = scores["mcc"]
         row["elli_ac"] = scores["ac"]
         row["elli_elapsed_s"] = elapsed
+        row["elli_stats"] = result.stats
     if "ksc" in algos:
         runs, elapsed = timed(
             ksc_cluster, inst.graph, inst.truth.k, trials=trials, seed=seed,
         )
-        scores = [_scores(r.partition, inst.graph, inst.truth) for r in runs]
+        # mcc and ac do not depend on cluster ids: score each distinct
+        # partition once
+        by_partition = {}
+        scores = []
+        for r in runs:
+            key = _canonical_bytes(r.partition.labels)
+            if key not in by_partition:
+                by_partition[key] = _scores(r.partition, inst.graph, inst.truth)
+            scores.append(by_partition[key])
         mccs = [s["mcc"] for s in scores]
         acs = [s["ac"] for s in scores]
         row["ksc_mcc_mean"] = float(np.mean(mccs))
         row["ksc_mcc_min"] = float(np.min(mccs))
         row["ksc_mcc_max"] = float(np.max(mccs))
         row["ksc_ac_mean"] = float(np.mean(acs))
+        row["ksc_iterations"] = sum(r.iterations for r in runs)
         row["ksc_elapsed_s"] = elapsed
     return row
 

@@ -158,6 +158,38 @@ def reference_mvee(P, eps=1e-10, tau_active=1e-5, max_iter=10**6):
     return ell
 
 
+def reference_lloyd(points, k, centers, max_iter=1000):
+    """One k-means trial in its own loop, with one boolean mask per cluster
+    for the centroid update and |p|^2 recomputed every iteration: an
+    independent, slower Lloyd to check the batched one against.  Returns
+    (labels, cost, iterations, cost_history, empty_repairs)."""
+    centers = np.array(centers, dtype=np.float64)
+    labels = None
+    cost = np.inf
+    iterations = repairs = 0
+    history = []
+    for _ in range(max_iter):
+        p2 = np.einsum("ij,ij->j", points, points)[:, None]
+        c2 = np.einsum("ij,ij->j", centers, centers)[None, :]
+        d2 = p2 + c2 - 2.0 * (points.T @ centers)
+        new_labels = np.argmin(d2, axis=1)
+        dists = np.maximum(d2[np.arange(points.shape[1]), new_labels], 0.0)
+        for cid in np.flatnonzero(np.bincount(new_labels, minlength=k) == 0):
+            far = int(np.argmax(dists))
+            new_labels[far] = cid
+            dists[far] = 0.0
+            repairs += 1
+        cost = float(dists.sum())
+        history.append(cost)
+        if labels is not None and np.array_equal(new_labels, labels):
+            break
+        iterations += 1
+        labels = new_labels
+        for cid in range(k):
+            centers[:, cid] = points[:, labels == cid].mean(axis=1)
+    return labels, cost, iterations, history, repairs
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)

@@ -213,6 +213,7 @@ class TestCliPipeline:
         assert recs[0] == recs[1]
         assert len(recs[0]) == 4
         assert [r["trial"] for r in recs[0]] == [0, 1, 2, 3]
+        assert all(r["empty_repairs"] == 0 for r in recs[0])
 
     def test_knn_graph_command(self, tmp_path):
         X = np.abs(np.random.default_rng(2).standard_normal((12, 5))) + 0.1
@@ -267,6 +268,36 @@ class TestCliPipeline:
                             for r in read_json_lines(out)])
         assert len(batches[0]) == 3
         assert batches[0] == batches[1]
+        for r in batches[0]:
+            assert r["ksc_iterations"] >= 4  # every trial takes a step
+            assert r["elli_stats"]["embed"]["method"] == "eigh"
+
+    @pytest.mark.parametrize("delta", [0.1, 1.0])
+    def test_sweep_scores_each_partition_once(self, delta, monkeypatch):
+        # the row equals, byte for byte, the row that scores every trial
+        inst = next(cli.delta_sweep([15] * 4, [delta], seed=2))
+        scored = []
+        real_scores = cli._scores
+
+        def counting_scores(*args):
+            scored.append(args[0])
+            return real_scores(*args)
+
+        def row(**patches):
+            for name, value in patches.items():
+                monkeypatch.setattr(cli, name, value)
+            scored.clear()
+            out = cli._sweep_point(inst, ["ksc"], 20, 2)
+            out.pop("ksc_elapsed_s")
+            return json.dumps(out, sort_keys=True), len(scored)
+
+        once, calls_once = row(_scores=counting_scores)
+        every, calls_every = row(_canonical_bytes=lambda labels: object())
+        assert once == every
+        assert calls_every == 20
+        # here the 20 trials give 13 distinct label vectors, and 1 (delta
+        # 0.1) or 4 (delta 1.0) distinct partitions
+        assert calls_once == {0.1: 1, 1.0: 4}[delta]
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_sweep_streams_instances(self, threads, tmp_path, monkeypatch):
