@@ -11,7 +11,6 @@ form -- no search required.
 import numpy as np
 
 from ellispec import (
-    conductance,
     conductance_bound,
     delta_sweep,
     partition_profile,
@@ -25,8 +24,8 @@ print("---------------------------")
 inst = synth_adjacency(SIZES, 0.5, rng=7)
 print(f"nodes: {inst.graph.n}, clusters: {inst.truth.k}")
 print(f"cluster constants c_i: {np.round(inst.c, 3)}")
-for i, members in enumerate(inst.truth.clusters()):
-    measured = conductance(inst.graph, members)
+profile = partition_profile(inst.graph, inst.truth)
+for i, measured in enumerate(profile["per_cluster"]):
     closed = inst.delta / (inst.c[i] + inst.delta)
     print(f"  cluster {i}: conductance {measured:.6f} "
           f"(closed form {closed:.6f})")

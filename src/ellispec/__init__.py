@@ -2,10 +2,12 @@
 
 Pipeline: spectral embedding through the normalized Laplacian, then an
 origin-centered minimum-volume enclosing ellipsoid whose boundary columns
-act as cluster representatives (thinned by successive projection), then
-nearest-representative assignment.  A k-means based spectral baseline,
-a synthetic benchmark generator, and AC/NMI/conductance metrics round
-out the toolkit.
+act as cluster representatives (thinned to k by successive projection),
+then nearest-representative assignment; fewer than k boundary columns
+raise RankError.  Next to it: a k-means based spectral baseline, a
+synthetic benchmark generator, cosine kNN graphs from feature vectors,
+Matrix Market and label-file I/O, and the scores (per-cluster
+conductance through ``partition_profile``, accuracy, NMI).
 """
 
 __version__ = "0.1.0"
@@ -17,14 +19,9 @@ from ._errors import (
     InvalidPartitionError,
     RankError,
 )
-from .eigen import Embedding, bottom_k_eigs, gap_diagnostics
-from .elli import ElliResult, alpha_theta_profile, elli_cluster, group_columns
-from .graph import (
-    Partition,
-    WeightedGraph,
-    conductance,
-    partition_profile,
-)
+from .eigen import Embedding, bottom_k_eigs
+from .elli import ElliResult, elli_cluster, group_columns
+from .graph import Partition, WeightedGraph, partition_profile
 from .ingest import VectorDataset, cosine_knn_graph, load_csv, load_vds
 from .io import read_graph, read_labels, write_graph, write_labels
 from .ksc import KscRun, kmeanspp_seed, ksc_cluster, lloyd
@@ -47,14 +44,11 @@ __all__ = [
     "RankError",
     "Embedding",
     "bottom_k_eigs",
-    "gap_diagnostics",
     "ElliResult",
-    "alpha_theta_profile",
     "elli_cluster",
     "group_columns",
     "Partition",
     "WeightedGraph",
-    "conductance",
     "partition_profile",
     "VectorDataset",
     "cosine_knn_graph",

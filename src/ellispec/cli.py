@@ -40,6 +40,7 @@ EXIT_USAGE = 2
 EXIT_IO = 3
 EXIT_NUMERICAL = 4
 EXIT_INVALID_GRAPH = 5
+SWEEP_ALGOS = ("elli", "ksc")
 
 
 def _parse_sizes(text):
@@ -96,10 +97,7 @@ def _cmd_synth(args):
 
 
 def _cmd_knn_graph(args):
-    if args.data.endswith(".vds"):
-        data = load_vds(args.data, args.labels)
-    else:
-        data = load_csv(args.data, args.labels)
+    data = (load_vds if args.data.endswith(".vds") else load_csv)(args.data)
     graph = cosine_knn_graph(data, args.p)
     write_graph(graph, args.out)
     record = {"algo": "knn-graph", "n": graph.n, "p": args.p,
@@ -139,7 +137,6 @@ def _cmd_cluster(args):
             "lambda_next": result.lambda_next,
             "elapsed_s": elapsed,
             "active_count": result.active_count,
-            "spa_fallback": result.spa_fallback,
             "tau_active": args.tau_active,
             "mvee_eps": args.mvee_eps,
             "stats": result.stats,
@@ -230,6 +227,10 @@ def _cmd_sweep(args):
     else:
         raise ValueError("sweep needs --suite or --sizes")
     algos = args.algos.split(",")
+    for algo in algos:
+        if algo not in SWEEP_ALGOS:
+            raise ValueError(f"bad --algos value {algo!r}: each name must be "
+                             f"one of {', '.join(SWEEP_ALGOS)}")
     deltas = [float(v) for v in args.deltas.split(",")] if args.deltas else DEFAULT_DELTAS
     threads = args.threads or os.cpu_count() or 1
     # at most `threads` points in flight; each instance, with its adjacency
@@ -278,7 +279,6 @@ def build_parser():
     p = sub.add_parser("knn-graph",
                        help="cosine-similarity p-nearest-neighbor graph")
     p.add_argument("--data", required=True, help="CSV or .vds feature vectors")
-    p.add_argument("--labels", help="optional sidecar label file")
     p.add_argument("--p", type=int, required=True, help="neighbor size")
     p.add_argument("--out", required=True)
     p.add_argument("--json")
@@ -308,7 +308,8 @@ def build_parser():
     p = sub.add_parser("sweep", help="delta sweep over a synthetic suite")
     p.add_argument("--suite", choices=sorted(standard_suites()))
     p.add_argument("--sizes")
-    p.add_argument("--algos", default="elli,ksc")
+    p.add_argument("--algos", default="elli,ksc",
+                   help="comma-separated names from: elli, ksc")
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--deltas", help="comma-separated values, default 0..2 step 0.1")

@@ -18,14 +18,13 @@ from functools import partial
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse as sp
 import scipy.sparse.linalg
 from scipy.linalg.blas import dsymv
 
 from ._errors import ConvergenceError, InvalidGraphError
 from .graph import WeightedGraph, _components
 
-__all__ = ["Embedding", "bottom_k_eigs", "gap_diagnostics"]
+__all__ = ["Embedding", "bottom_k_eigs"]
 
 # Dense eigh up to this many nodes, ARPACK above.  Times on
 # synth_adjacency([n // k] * k, delta, 1), median of 5 solves, one OpenBLAS
@@ -55,8 +54,6 @@ class Embedding:
     ``lambda_k`` and ``lambda_next``.
     """
 
-    k: int
-    n: int
     P: np.ndarray
     eigenvalues: np.ndarray
     lambda_next: float
@@ -64,14 +61,13 @@ class Embedding:
 
 
 def _kernel(graph):
-    """n x c sparse orthonormal basis of the null space of L: column i is
-    sqrt(d) on the nodes of connected component i and zero elsewhere."""
-    count, labels = _components(graph.adjacency)
-    norms = np.sqrt(np.bincount(labels, weights=graph.degrees, minlength=count))
-    return sp.csr_matrix(
-        (np.sqrt(graph.degrees) / norms[labels], (np.arange(graph.n), labels)),
-        shape=(graph.n, count),
-    )
+    """(c, comp, zv): the null space of L as c orthonormal vectors, one per
+    connected component.  Node ell lies in component ``comp[ell]``, and
+    ``zv[ell]`` is its one nonzero entry: sqrt(d) over the component's
+    norm."""
+    count, comp = _components(graph.adjacency)
+    norms = np.sqrt(np.bincount(comp, weights=graph.degrees, minlength=count))
+    return count, comp, np.sqrt(graph.degrees) / norms[comp]
 
 
 def _validate(P, vals, w, dinv, tol=1e-8):
@@ -92,7 +88,7 @@ def _validate(P, vals, w, dinv, tol=1e-8):
     return worst
 
 
-def _arpack_eigs(w, dinv, z, k):
+def _arpack_eigs(w, dinv, kernel, k):
     """ARPACK on S = D^{-1/2} W D^{-1/2} = I - L for the k+1 smallest
     pairs of L; returns (eigenvalues, eigenvectors, matvecs).
 
@@ -100,11 +96,12 @@ def _arpack_eigs(w, dinv, z, k):
     columns of ``z``).  A single-vector Krylov method cannot resolve that
     multiple eigenvalue, so it is moved from 1 to 1 - KERNEL_SHIFT, below
     the spectrum of S, and the null vectors are prepended to what ARPACK
-    finds.  Row ell of ``z`` holds one nonzero, ``zv[ell]`` in column
-    ``comp[ell]``, so z (z^T x) is a per-component sum scattered back.
+    finds.  ``kernel`` is ``_kernel``'s (c, comp, zv): each null vector
+    has one nonzero per node, so z (z^T x) is a per-component sum
+    scattered back.
     """
-    n, c = z.shape
-    comp, zv = z.indices, z.data
+    c, comp, zv = kernel
+    n = dinv.size
     # a dense W is symmetric: dsymv reads one triangle of it, through the
     # Fortran-ordered view w.T, so nothing is copied
     product = (partial(dsymv, 1.0, w.T) if isinstance(w, np.ndarray)
@@ -135,8 +132,10 @@ def _arpack_eigs(w, dinv, z, k):
                                          axis=0).max())
             message += f"; worst residual of those: {worst:.3e}"
         raise ConvergenceError(message, achieved=worst) from exc
+    z = np.zeros((n, c))
+    z[np.arange(n), comp] = zv
     return (np.concatenate([np.zeros(c), 1.0 - theta]),
-            np.hstack([z.toarray(), vecs]), matvecs)
+            np.hstack([z, vecs]), matvecs)
 
 
 def bottom_k_eigs(graph: WeightedGraph, k: int) -> Embedding:
@@ -151,8 +150,8 @@ def bottom_k_eigs(graph: WeightedGraph, k: int) -> Embedding:
     n = graph.n
     if not 1 <= k < n:
         raise ValueError(f"need 1 <= k < n, got k={k}, n={n}")
-    z = _kernel(graph)
-    components = z.shape[1]
+    kernel = _kernel(graph)
+    components = kernel[0]
     if components > k:
         raise InvalidGraphError(
             f"graph has {components} connected components, more than k={k}: "
@@ -166,7 +165,7 @@ def bottom_k_eigs(graph: WeightedGraph, k: int) -> Embedding:
         vals, vecs = scipy.linalg.eigh(np.eye(n) - s, subset_by_index=[0, k])
         method, matvecs = "eigh", 0
     else:
-        vals, vecs, matvecs = _arpack_eigs(w, dinv, z, k)
+        vals, vecs, matvecs = _arpack_eigs(w, dinv, kernel, k)
         method = "arpack"
     order = np.argsort(vals)
     vals = vals[order]
@@ -175,20 +174,5 @@ def bottom_k_eigs(graph: WeightedGraph, k: int) -> Embedding:
     worst = _validate(P, vals[:k], w, dinv)
     stats = {"method": method, "matvecs": matvecs, "worst_residual": worst,
              "lambda_k": float(vals[k - 1]), "lambda_next": float(vals[k])}
-    return Embedding(k=k, n=n, P=P, eigenvalues=vals[:k],
+    return Embedding(P=P, eigenvalues=vals[:k],
                      lambda_next=float(vals[k]), stats=stats)
-
-
-def gap_diagnostics(embedding: Embedding, profile):
-    """Ratio lambda_{k+1} / MCC, a computable proxy for the spectral gap.
-
-    The MCC of any concrete partition upper-bounds the graph conductance,
-    so the ratio lower-bounds the true gap.  Zero MCC reports infinity.
-    """
-    mcc = profile["mcc"]
-    ratio = np.inf if mcc == 0 else embedding.lambda_next / mcc
-    return {
-        "lambda_next": embedding.lambda_next,
-        "mcc": mcc,
-        "ratio": ratio,
-    }

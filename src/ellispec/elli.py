@@ -3,8 +3,8 @@
 The grouping stage draws the origin-centered minimum-volume enclosing
 ellipsoid of the embedded columns, takes its boundary columns as cluster
 representatives (thinned to exactly k by successive projection when
-needed), and assigns every node to the representative with the largest
-normalized inner product.
+there are more), and assigns every node to the representative with the
+largest normalized inner product.
 """
 
 from __future__ import annotations
@@ -14,14 +14,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._errors import InvalidGraphError
+from ._errors import InvalidGraphError, RankError
 from .eigen import Embedding, bottom_k_eigs
 from .graph import Partition, WeightedGraph
 from .mvee import DEFAULT_EPS, DEFAULT_TAU_ACTIVE, solve_mvee
 from .spa import spa_select
 
-__all__ = ["ElliResult", "group_columns", "graph_embedding", "elli_cluster",
-           "alpha_theta_profile"]
+__all__ = ["ElliResult", "group_columns", "graph_embedding", "elli_cluster"]
 
 
 @dataclass
@@ -33,7 +32,6 @@ class ElliResult:
     partition: Partition
     representatives: list[int]
     active_count: int
-    spa_fallback: bool = False
     timings: dict = field(default_factory=dict)
     lambda_next: float | None = None
     stats: dict = field(default_factory=dict)
@@ -41,15 +39,13 @@ class ElliResult:
 
 def group_columns(P, mvee_eps: float = DEFAULT_EPS,
                   tau_active: float = DEFAULT_TAU_ACTIVE) -> ElliResult:
-    """Group the columns of a k x n matrix into k clusters.
+    """Group the columns of a k x n array into k clusters.
 
-    ``P`` may be an Embedding or a plain array; k is its row count.
-    Deterministic: all ties break toward the lowest index.
+    Deterministic: all ties break toward the lowest index.  Raises
+    RankError when fewer than k columns lie on the ellipsoid boundary.
     """
-    if isinstance(P, Embedding):
-        P = P.P
     P = np.asarray(P, dtype=np.float64)
-    k, n = P.shape
+    k = P.shape[0]
 
     norms = np.linalg.norm(P, axis=0)
     if norms.min() < 1e-12:
@@ -63,16 +59,13 @@ def group_columns(P, mvee_eps: float = DEFAULT_EPS,
     active = ellipsoid.active
     t1 = time.perf_counter()
 
-    fallback = False
-    if len(active) > k:
-        reps = spa_select(P, active, k)
-    elif len(active) == k:
-        reps = [int(i) for i in active]
-    else:
-        # floating point or duplicated extreme columns can under-fill the
-        # active set; select from all columns instead, deterministically
-        fallback = True
-        reps = spa_select(P, range(n), k)
+    if len(active) < k:
+        raise RankError(
+            f"only {len(active)} columns lie on the ellipsoid boundary, "
+            f"fewer than k={k}"
+        )
+    # ascending when there are exactly k: the cluster ids follow it
+    reps = [int(i) for i in active] if len(active) == k else spa_select(P, active, k)
     t2 = time.perf_counter()
 
     Pbar = P / norms[None, :]
@@ -91,7 +84,6 @@ def group_columns(P, mvee_eps: float = DEFAULT_EPS,
         partition=partition,
         representatives=reps,
         active_count=len(active),
-        spa_fallback=fallback,
         timings={"mvee_s": t1 - t0, "select_s": t2 - t1, "assign_s": t3 - t2},
         stats=ellipsoid.stats,
     )
@@ -124,49 +116,8 @@ def elli_cluster(graph: WeightedGraph, k: int,
     t0 = time.perf_counter()
     emb = graph_embedding(graph, k)
     t1 = time.perf_counter()
-    result = group_columns(emb, mvee_eps=mvee_eps, tau_active=tau_active)
+    result = group_columns(emb.P, mvee_eps=mvee_eps, tau_active=tau_active)
     result.timings["embed_s"] = t1 - t0
     result.stats["embed"] = dict(emb.stats)
     result.lambda_next = emb.lambda_next
     return result
-
-
-def alpha_theta_profile(graph: WeightedGraph, partition: Partition):
-    """Degree-ratio constants of a partition, used to build test instances.
-
-    For node j of cluster i: alpha_{i,j} = sqrt(d_{i,j} / mu(S_i)) with
-    degrees sorted ascending within the cluster, and
-    theta_{i,j} = alpha_{i,j} / alpha_i^*.  Returns the extremes plus the
-    spectral-gap threshold 4k / (theta * alpha)^2 with
-    theta = min(0.5 * (1 - theta_max), (17 - 12*sqrt(2)) * theta_min).
-    Diagnostic only; the clustering algorithm never consumes these.
-    """
-    d = graph.degrees
-    alpha_star = []
-    alpha_min = np.inf
-    theta_min, theta_max = np.inf, -np.inf
-    representatives = []
-    for members in partition.clusters():
-        deg = np.sort(d[members])
-        mu = deg.sum()
-        alphas = np.sqrt(deg / mu)
-        alpha_star.append(alphas[-1])
-        alpha_min = min(alpha_min, alphas[0])
-        if deg.size > 1:
-            thetas = alphas[:-1] / alphas[-1]
-            theta_min = min(theta_min, thetas[0])
-            theta_max = max(theta_max, thetas[-1])
-        order = members[np.argsort(d[members], kind="stable")]
-        representatives.append(int(order[-1]))
-    alpha_star_min = float(min(alpha_star))
-    theta = min(0.5 * (1.0 - theta_max), (17.0 - 12.0 * np.sqrt(2.0)) * theta_min)
-    return {
-        "alpha_min": float(alpha_min),
-        "alpha_star_min": alpha_star_min,
-        "theta_min": float(theta_min),
-        "theta_max": float(theta_max),
-        "theta": float(theta),
-        "gap_threshold": float(4.0 * partition.k / (theta * alpha_star_min) ** 2)
-        if theta > 0 else np.inf,
-        "representatives": representatives,
-    }

@@ -15,12 +15,7 @@ from scipy.sparse.csgraph import connected_components
 
 from ._errors import InvalidGraphError, InvalidPartitionError
 
-__all__ = [
-    "WeightedGraph",
-    "Partition",
-    "conductance",
-    "partition_profile",
-]
+__all__ = ["WeightedGraph", "Partition", "partition_profile"]
 
 
 # A CSR matrix-vector product costs as much as a dense one at 40-50 % density
@@ -172,16 +167,6 @@ class Partition:
         bounds = np.searchsorted(self.labels[order], np.arange(self.k + 1))
         return [order[bounds[i]:bounds[i + 1]] for i in range(self.k)]
 
-    @classmethod
-    def from_clusters(cls, n, clusters):
-        labels = np.full(n, -1, dtype=np.int64)
-        for cid, members in enumerate(clusters):
-            labels[np.asarray(list(members), dtype=np.int64)] = cid
-        if (labels < 0).any():
-            missing = int(np.argmin(labels))
-            raise InvalidPartitionError(f"node {missing} not covered by any cluster")
-        return cls(labels, k=len(clusters))
-
     def __eq__(self, other):
         return (
             isinstance(other, Partition)
@@ -241,35 +226,14 @@ def _conductances(graph: WeightedGraph, labels, k):
     return cut / np.bincount(labels, weights=graph.degrees, minlength=k)
 
 
-def conductance(graph: WeightedGraph, cluster) -> float:
-    """Cut weight between the cluster and its complement over its volume.
-
-    The cluster must be a nonempty proper subset of the nodes.  Self-loops
-    count toward the volume but not the cut, so the value lies in [0, 1].
-    This is the two-way profile {cluster, rest}: it costs one pass over the
-    whole adjacency, O(nnz), however small the cluster.
-    """
-    idx = np.asarray(sorted(cluster), dtype=np.int64)
-    if idx.size == 0:
-        raise InvalidPartitionError("conductance of an empty cluster is undefined")
-    if idx[0] < 0 or idx[-1] >= graph.n:
-        raise InvalidPartitionError(f"cluster indices out of range for n={graph.n}")
-    if np.unique(idx).size != idx.size:
-        raise InvalidPartitionError("cluster contains duplicate nodes")
-    if idx.size == graph.n:
-        raise InvalidPartitionError(
-            "conductance of the whole node set is undefined"
-        )
-    labels = np.ones(graph.n, dtype=np.int64)
-    labels[idx] = 0
-    return float(_conductances(graph, labels, 2)[0])
-
-
 def partition_profile(graph: WeightedGraph, partition: Partition):
     """Per-cluster conductance together with its max (MCC) and sum.
 
     The sum is the normalized-cut objective value of the given partition.
-    All clusters are scored in one pass over the adjacency.
+    All clusters are scored in one pass over the adjacency, O(nnz);
+    self-loops count toward a cluster's volume but never its cut.  The
+    conductance of one cluster S is the first entry of the profile of the
+    two-way partition {S, rest}.
     """
     if partition.n != graph.n:
         raise InvalidPartitionError(

@@ -24,10 +24,9 @@ KNN_TIE_ULPS = 4
 
 @dataclass
 class VectorDataset:
-    """Row-major matrix of nonnegative feature vectors, optional labels."""
+    """Row-major matrix of nonnegative feature vectors."""
 
     X: np.ndarray
-    labels: np.ndarray | None = None
 
     def __post_init__(self):
         self.X = np.asarray(self.X, dtype=np.float64)
@@ -54,16 +53,12 @@ class VectorDataset:
         return self.X.shape[1]
 
 
-def load_csv(path, labels_path=None) -> VectorDataset:
+def load_csv(path) -> VectorDataset:
     """One vector per row, comma-separated."""
-    X = np.loadtxt(path, delimiter=",", ndmin=2)
-    labels = None
-    if labels_path is not None:
-        labels = np.loadtxt(labels_path, dtype=np.int64, ndmin=1)
-    return VectorDataset(X, labels)
+    return VectorDataset(np.loadtxt(path, delimiter=",", ndmin=2))
 
 
-def load_vds(path, labels_path=None) -> VectorDataset:
+def load_vds(path) -> VectorDataset:
     """Packed little-endian binary: 16-byte header {magic 'VDS1', u32 n,
     u32 d, 4 pad bytes}, then n*d float64 values row-major."""
     with open(path, "rb") as fh:
@@ -74,10 +69,7 @@ def load_vds(path, labels_path=None) -> VectorDataset:
         data = np.fromfile(fh, dtype="<f8", count=n * d)
     if data.size != n * d:
         raise ValueError(f"{path}: truncated payload ({data.size} of {n * d})")
-    labels = None
-    if labels_path is not None:
-        labels = np.loadtxt(labels_path, dtype=np.int64, ndmin=1)
-    return VectorDataset(data.reshape(n, d), labels)
+    return VectorDataset(data.reshape(n, d))
 
 
 def save_vds(dataset: VectorDataset, path):

@@ -3,9 +3,10 @@
 Normalized spectral clustering in the Shi-Malik style: embed, scale the
 embedded column of node i by 1/sqrt(d_i), then run k-means++ seeding and
 Lloyd iterations.  Empty clusters are repaired by the singleton rule (the
-point farthest from its assigned centroid becomes a new one-point
-cluster).  All randomness flows through a seeded PCG64 generator; trial t
-of seed s uses the stream seeded by (s, t), so runs are reproducible.
+point farthest from its assigned centroid, among those that are not the
+last member of their cluster, becomes a new one-point cluster).  All
+randomness flows through a seeded PCG64 generator; trial t of seed s
+uses the stream seeded by (s, t), so runs are reproducible.
 
 The trials of one call are seeded one at a time, then run their Lloyd
 iterations in lockstep.  Each step assigns the points for all A trials not
@@ -121,11 +122,18 @@ def _assign(points, p2, centers, k):
 
 def _repair(labels, dists, k):
     """The singleton rule on one trial, in place: each empty cluster, in
-    ascending order, takes the point farthest from its centroid.  Returns
-    how many clusters it filled."""
-    empty = np.flatnonzero(np.bincount(labels, minlength=k) == 0)
+    ascending order, takes the point farthest from its centroid (ties to
+    the lowest index) among those whose cluster keeps another member.  A
+    point so moved is the last member of its new cluster, so no point is
+    taken twice, and with n >= k every cluster ends nonempty.  Returns how
+    many clusters it filled."""
+    counts = np.bincount(labels, minlength=k)
+    empty = np.flatnonzero(counts == 0)
     for cid in empty:
-        far = int(np.argmax(dists))
+        # distances are >= 0, so -1 rules a point out
+        far = int(np.argmax(np.where(counts[labels] > 1, dists, -1.0)))
+        counts[labels[far]] -= 1
+        counts[cid] = 1
         labels[far] = cid
         dists[far] = 0.0
     return int(empty.size)
@@ -146,11 +154,9 @@ def _centroids(points, labels, k):
 
 def lloyd(points: np.ndarray, k: int, centers: np.ndarray,
           max_iter: int = MAX_ITER, seed=None):
-    """Lloyd iterations from given centers.
-
-    ``centers`` is d x k for one trial, and the result one KscRun; or a
-    T x d x k stack of T trials run together, and the result a list of T
-    runs, with ``seed`` a sequence of T seeds (or None).
+    """Lloyd iterations for T trials run together, from the T x d x k
+    stack ``centers``; returns a list of T KscRuns, with ``seed`` a
+    sequence of T seeds (or None).
 
     The cost is non-increasing in exact arithmetic.  In floating point the
     expanded distance |p|^2 + |c|^2 - 2 p.c can round it upward near zero
@@ -158,16 +164,12 @@ def lloyd(points: np.ndarray, k: int, centers: np.ndarray,
 
     Each trial stops at an assignment fixpoint or after max_iter
     iterations.  Empty clusters are processed in ascending cluster-index
-    order: each receives the point currently farthest from its assigned
-    centroid as a singleton.
+    order: each receives as a singleton the point currently farthest from
+    its assigned centroid that is not the last member of its cluster.
     """
     t0 = time.perf_counter()
-    single = np.ndim(centers) == 2
     stack = np.asarray(centers, dtype=np.float64)
-    if single:
-        stack, seeds = stack[None], [seed]
-    else:
-        seeds = [None] * len(stack) if seed is None else list(seed)
+    seeds = [None] * len(stack) if seed is None else list(seed)
     trials, d, _ = stack.shape
     p2 = np.einsum("ij,ij->j", points, points)
     centers = stack.transpose(1, 0, 2).reshape(d, trials * k)
@@ -210,11 +212,11 @@ def lloyd(points: np.ndarray, k: int, centers: np.ndarray,
     else:  # the max_iter cut
         for a, t in enumerate(live):
             retire(t, labels[a], float(costs[a]), max_iter)
-    return runs[0] if single else runs
+    return runs
 
 
-def ksc_cluster(graph: WeightedGraph, k: int, trials: int = 1, seed: int = 0,
-                max_iter: int = MAX_ITER) -> list[KscRun]:
+def ksc_cluster(graph: WeightedGraph, k: int, trials: int = 1,
+                seed: int = 0) -> list[KscRun]:
     """Scale column i of the graph's shared embedding by 1/sqrt(d_i), seed
     each trial by k-means++ from its own stream, then run all the trials'
     Lloyd iterations together in one ``lloyd`` call."""
@@ -224,8 +226,7 @@ def ksc_cluster(graph: WeightedGraph, k: int, trials: int = 1, seed: int = 0,
     points = emb.P / np.sqrt(graph.degrees)[None, :]
     centers = np.stack([kmeanspp_seed(points, k, np.random.default_rng([seed, t]))
                         for t in range(trials)])
-    runs = lloyd(points, k, centers, max_iter=max_iter,
-                 seed=[(seed, t) for t in range(trials)])
+    runs = lloyd(points, k, centers, seed=[(seed, t) for t in range(trials)])
     for run in runs:
         run.lambda_next = emb.lambda_next
     return runs

@@ -66,8 +66,9 @@ def solve_mvee(P: np.ndarray, eps: float = DEFAULT_EPS,
     k, n = P.shape
     if not (eps > 0 and math.isfinite(eps)):
         raise ValueError(f"eps must be positive and finite, got {eps!r}")
-    if not math.isfinite(tau_active):
-        raise ValueError(f"tau_active must be finite, got {tau_active!r}")
+    if not (tau_active >= 0 and math.isfinite(tau_active)):
+        raise ValueError(
+            f"tau_active must be nonnegative and finite, got {tau_active!r}")
     bad = np.flatnonzero(~np.isfinite(P).all(axis=0))
     if bad.size:
         raise ValueError(f"column {bad[0]} of P is not finite")

@@ -175,7 +175,11 @@ def reference_lloyd(points, k, centers, max_iter=1000):
         new_labels = np.argmin(d2, axis=1)
         dists = np.maximum(d2[np.arange(points.shape[1]), new_labels], 0.0)
         for cid in np.flatnonzero(np.bincount(new_labels, minlength=k) == 0):
-            far = int(np.argmax(dists))
+            # the farthest point, lowest index first, that leaves a member
+            # behind in its cluster
+            for far in sorted(range(len(dists)), key=lambda i: (-dists[i], i)):
+                if np.count_nonzero(new_labels == new_labels[far]) > 1:
+                    break
             new_labels[far] = cid
             dists[far] = 0.0
             repairs += 1

@@ -9,13 +9,10 @@ import scipy.sparse.linalg
 from ellispec import (
     ConvergenceError,
     InvalidGraphError,
-    Partition,
     WeightedGraph,
     accuracy,
     bottom_k_eigs,
     elli_cluster,
-    gap_diagnostics,
-    partition_profile,
     synth_adjacency,
 )
 import ellispec.eigen
@@ -226,24 +223,3 @@ def test_permutation_invariance_as_subspace(rng):
     emb_p = bottom_k_eigs(permuted, k)
     angles = scipy.linalg.subspace_angles(emb.P[:, perm].T, emb_p.P.T)
     assert angles.max() < 1e-6
-
-
-def test_gap_diagnostics_four_cycle():
-    w = np.zeros((4, 4))
-    for i in range(4):
-        w[i, (i + 1) % 4] = w[(i + 1) % 4, i] = 1.0
-    g = WeightedGraph(w)
-    emb = bottom_k_eigs(g, 2)
-    profile = partition_profile(g, Partition([0, 0, 1, 1]))
-    diag = gap_diagnostics(emb, profile)
-    lambda3 = np.sort(np.linalg.eigvalsh(laplacian(g)))[2]
-    assert diag["ratio"] == pytest.approx(lambda3 / 0.5)
-
-
-def test_gap_diagnostics_zero_mcc():
-    from ellispec import synth_adjacency
-
-    inst = synth_adjacency([10, 12], 0.0, 1)
-    emb = bottom_k_eigs(inst.graph, 2)
-    profile = partition_profile(inst.graph, inst.truth)
-    assert gap_diagnostics(emb, profile)["ratio"] == np.inf

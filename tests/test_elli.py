@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 from ellispec import (
+    Ellipsoid,
     InvalidGraphError,
     Partition,
+    RankError,
     accuracy,
-    alpha_theta_profile,
     delta_sweep,
     elli_cluster,
     group_columns,
@@ -13,6 +14,7 @@ from ellispec import (
     standard_suites,
     synth_adjacency,
 )
+from ellispec import elli as elli_module
 
 from conftest import (
     THETA_CONST,
@@ -83,13 +85,17 @@ class TestGroupColumns:
         with pytest.raises(InvalidGraphError, match="node 4"):
             group_columns(P)
 
-    def test_underfull_active_set_falls_back_to_spa(self, rng):
-        P0, labels, stats = planted_columns(rng, [5, 6, 4])
-        # a negative activity tolerance empties the boundary set, forcing
-        # the selection stage to scan every column
-        result = group_columns(P0, tau_active=-1e-3)
-        assert result.spa_fallback
-        assert accuracy(result.partition, as_partition(labels, 3)) == 1.0
+    def test_underfull_active_set_is_rank_error(self, rng, monkeypatch):
+        P0, _, _ = planted_columns(rng, [5, 6, 4])
+        ellipsoid = elli_module.solve_mvee(P0)
+
+        def two_active(P, eps, tau_active):
+            return Ellipsoid(X=ellipsoid.X, u=ellipsoid.u, epsilon_achieved=0.0,
+                             active=ellipsoid.active[:2])
+
+        monkeypatch.setattr(elli_module, "solve_mvee", two_active)
+        with pytest.raises(RankError, match="only 2 columns .* fewer than k=3"):
+            group_columns(P0)
 
     def test_representatives_in_own_cluster(self, rng):
         P = rng.standard_normal((4, 50))
@@ -154,33 +160,3 @@ class TestMveeBudgetRegressions:
         for seed in range(10):
             for inst in delta_sweep(sizes, (0.1, 0.2, 0.3, 0.4, 0.5, 0.6), seed=seed):
                 assert elli_cluster(inst.graph, len(sizes)).stats["gap"] <= 1e-7
-
-
-class TestAlphaThetaProfile:
-    def test_matches_direct_computation(self, rng):
-        inst = synth_adjacency([8, 12, 10], 0.4, 9)
-        stats = alpha_theta_profile(inst.graph, inst.truth)
-        d = inst.graph.degrees
-        alphas, alpha_stars, thetas = [], [], []
-        for members in inst.truth.clusters():
-            mu = d[members].sum()
-            a = sorted(np.sqrt(d[m] / mu) for m in members)
-            alphas.extend(a)
-            alpha_stars.append(a[-1])
-            thetas.extend(v / a[-1] for v in a[:-1])
-        assert stats["alpha_min"] == pytest.approx(min(alphas))
-        assert stats["alpha_star_min"] == pytest.approx(min(alpha_stars))
-        assert stats["theta_min"] == pytest.approx(min(thetas))
-        assert stats["theta_max"] == pytest.approx(max(thetas))
-        theta = min(0.5 * (1 - max(thetas)), THETA_CONST * min(thetas))
-        assert stats["theta"] == pytest.approx(theta)
-        assert stats["gap_threshold"] == pytest.approx(
-            4 * 3 / (theta * min(alpha_stars)) ** 2
-        )
-
-    def test_representatives_are_max_degree_nodes(self, rng):
-        inst = synth_adjacency([10, 10], 0.2, 7)
-        stats = alpha_theta_profile(inst.graph, inst.truth)
-        d = inst.graph.degrees
-        for members, rep in zip(inst.truth.clusters(), stats["representatives"]):
-            assert d[rep] == d[members].max()

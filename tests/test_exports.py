@@ -1,0 +1,18 @@
+"""Every name in an ``__all__`` list resolves, so ``import *`` never fails."""
+
+import importlib
+import pkgutil
+
+import pytest
+
+import ellispec
+
+MODULES = ["ellispec"] + [f"ellispec.{info.name}"
+                          for info in pkgutil.iter_modules(ellispec.__path__)]
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_all_names_resolve(name):
+    module = importlib.import_module(name)
+    missing = [n for n in getattr(module, "__all__", []) if not hasattr(module, n)]
+    assert not missing, f"{name}.__all__ lists undefined names {missing}"

@@ -60,12 +60,6 @@ class TestFileFormats:
         ds = load_csv(path)
         assert np.allclose(ds.X, X)
 
-    def test_csv_with_labels(self, tmp_path):
-        np.savetxt(tmp_path / "d.csv", np.ones((3, 2)), delimiter=",")
-        (tmp_path / "l.txt").write_text("1\n2\n1\n")
-        ds = load_csv(tmp_path / "d.csv", tmp_path / "l.txt")
-        assert np.array_equal(ds.labels, [1, 2, 1])
-
     def test_vds_round_trip(self, tmp_path):
         X = np.abs(np.random.default_rng(1).standard_normal((6, 4))) + 0.1
         path = tmp_path / "data.vds"

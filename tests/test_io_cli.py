@@ -335,15 +335,29 @@ class TestCliExitCodes:
         assert main(["cluster", "--algo", "elli", "--graph", str(g),
                      "--k", "99", "--json", str(tmp_path / "c.json")]) == 2
 
-    @pytest.mark.parametrize("flag", ["--mvee-eps", "--tau-active"])
-    def test_non_finite_mvee_tolerance_is_usage(self, flag, tmp_path, capsys):
+    @pytest.mark.parametrize("flag, value", [("--mvee-eps", "nan"),
+                                             ("--tau-active", "nan"),
+                                             ("--tau-active", "-0.001")],
+                             ids=["--mvee-eps", "--tau-active", "--tau-active=-0.001"])
+    def test_non_finite_mvee_tolerance_is_usage(self, flag, value, tmp_path, capsys):
         g = tmp_path / "g.mtx"
         main(["synth", "--sizes", "8x2", "--delta", "0.2", "--out", str(g),
               "--json", str(tmp_path / "s.json")])
         assert main(["cluster", "--algo", "elli", "--graph", str(g),
-                     "--k", "2", flag, "nan",
+                     "--k", "2", flag, value,
                      "--json", str(tmp_path / "c.json")]) == 2
         assert "must be" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("algos", ["elli,kmeans", "", "ksc,"])
+    def test_unknown_sweep_algo_is_usage(self, algos, monkeypatch, capsys):
+        def no_draw(*args, **kwargs):
+            raise AssertionError("an instance was drawn")
+
+        monkeypatch.setattr(cli, "delta_sweep", no_draw)
+        assert main(["sweep", "--sizes", "20x3", "--deltas", "0.3",
+                     "--algos", algos]) == 2
+        bad = "kmeans" if "kmeans" in algos else ""
+        assert f"bad --algos value {bad!r}" in capsys.readouterr().err
 
     def test_missing_file_is_io(self, tmp_path):
         assert main(["cluster", "--algo", "elli", "--k", "2",

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from conftest import reference_lloyd
 from ellispec import (
-    InvalidPartitionError,
     accuracy,
     kmeanspp_seed,
     ksc_cluster,
@@ -128,13 +127,13 @@ class TestSeeding:
 class TestLloyd:
     def test_points_already_separated(self):
         points = np.array([[0.0, 5.0, 10.0]])
-        run = lloyd(points, 3, np.array([[0.0, 5.0, 10.0]]))
+        run = lloyd(points, 3, np.array([[[0.0, 5.0, 10.0]]]))[0]
         assert run.cost == 0.0
         assert run.iterations == 1
 
     def test_hand_iteration_1d(self):
         points = np.array([[0.0, 1.0, 10.0]])
-        run = lloyd(points, 2, np.array([[0.0, 10.0]]))
+        run = lloyd(points, 2, np.array([[[0.0, 10.0]]]))[0]
         assert np.array_equal(run.partition.labels, [0, 0, 1])
         assert run.cost == pytest.approx(0.5)
 
@@ -143,14 +142,14 @@ class TestLloyd:
             local = np.random.default_rng(s)
             points = local.standard_normal((3, 60))
             centers = kmeanspp_seed(points, 4, local)
-            run = lloyd(points, 4, centers)
+            run = lloyd(points, 4, centers[None])[0]
             assert all(a >= b - 1e-12 for a, b in
                        zip(run.cost_history, run.cost_history[1:]))
 
     def test_fixpoint_of_assignment(self, rng):
         points = rng.standard_normal((2, 50))
         centers = kmeanspp_seed(points, 3, rng)
-        run = lloyd(points, 3, centers)
+        run = lloyd(points, 3, centers[None])[0]
         final_centers = np.column_stack([
             points[:, run.partition.labels == c].mean(axis=1) for c in range(3)
         ])
@@ -161,10 +160,22 @@ class TestLloyd:
         # both seeded centers sit on the same location; k=3 but only two
         # distinct points exist, so repair must still produce 3 clusters
         points = np.array([[0.0, 0.0, 0.0, 9.0, 9.0]])
-        centers = np.array([[0.0, 0.0, 9.0]])
-        run = lloyd(points, 3, centers)
+        centers = np.array([[[0.0, 0.0, 9.0]]])
+        run = lloyd(points, 3, centers)[0]
         assert run.partition.k == 3
         assert np.unique(run.partition.labels).size == 3
+
+    @pytest.mark.parametrize("n, k, max_iter", [(109, 4, MAX_ITER), (3, 3, 1)])
+    def test_identical_points_repaired_with_distinct_points(self, n, k, max_iter):
+        # every distance is zero: each empty cluster takes a different
+        # point, lowest index first, never the last member of its cluster
+        points = np.ones((3, n))
+        run = lloyd(points, k, np.ones((1, 3, k)), max_iter=max_iter)[0]
+        assert run.cost == 0.0
+        assert np.array_equal(run.partition.labels[:k], [*range(1, k), 0])
+        assert np.bincount(run.partition.labels).tolist() == [n - k + 1] + [1] * (k - 1)
+        assert run.iterations == 1
+        assert_matches_reference(points, k, np.ones((1, 3, k)), [run], max_iter)
 
 
 @st.composite
@@ -184,39 +195,30 @@ def lloyd_batches(draw):
 
 
 class TestBatchedLloyd:
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # a repair can empty a cluster
     @settings(max_examples=200, deadline=None)
     @given(lloyd_batches())
     def test_stack_matches_reference_and_single_calls(self, batch):
         points, k, centers, max_iter = batch
-        ends = [reference_lloyd(points, k, c, max_iter)[0] for c in centers]
-        if any(np.bincount(labels, minlength=k).min() == 0 for labels in ends):
-            # the singleton rule can re-pick a point and leave a cluster
-            # empty (all distances zero); one such trial fails the call
-            with pytest.raises(InvalidPartitionError, match="is empty"):
-                lloyd(points, k, centers, max_iter=max_iter)
-            return
         runs = lloyd(points, k, centers, max_iter=max_iter)
         assert_matches_reference(points, k, centers, runs, max_iter)
-        single = lloyd(points, k, centers[0], max_iter=max_iter)
+        single = lloyd(points, k, centers[:1], max_iter=max_iter)[0]
         assert np.array_equal(single.partition.labels, runs[0].partition.labels)
         assert single.iterations == runs[0].iterations
 
     @settings(max_examples=25, deadline=None)
     @given(sizes=st.lists(st.integers(4, 12), min_size=2, max_size=5),
            delta=st.floats(0.0, 2.0), graph_seed=st.integers(0, 2 ** 16),
-           trials=st.integers(1, 6), seed=st.integers(0, 2 ** 16),
-           max_iter=st.sampled_from([1, 2, 3, MAX_ITER]))
+           trials=st.integers(1, 6), seed=st.integers(0, 2 ** 16))
     def test_ksc_cluster_matches_reference_trial_by_trial(
-            self, sizes, delta, graph_seed, trials, seed, max_iter):
+            self, sizes, delta, graph_seed, trials, seed):
         graph = synth_adjacency(sizes, delta, graph_seed).graph
         k = len(sizes)
-        runs = ksc_cluster(graph, k, trials=trials, seed=seed, max_iter=max_iter)
+        runs = ksc_cluster(graph, k, trials=trials, seed=seed)
         assert [r.seed for r in runs] == [(seed, t) for t in range(trials)]
         points = scaled_points(graph, k)
         centers = [kmeanspp_seed(points, k, np.random.default_rng([seed, t]))
                    for t in range(trials)]
-        assert_matches_reference(points, k, centers, runs, max_iter)
+        assert_matches_reference(points, k, centers, runs)
 
     def test_one_trial_repaired_among_others(self):
         # trial 0 seeds two centers on point 0, so cluster 1 starts empty
@@ -241,12 +243,13 @@ class TestBatchedLloyd:
     def test_cut_at_max_iter_two(self):
         graph = synth_adjacency([20, 25, 18, 15], 1.2, 1).graph
         uncut = ksc_cluster(graph, 4, trials=6, seed=3)
-        runs = ksc_cluster(graph, 4, trials=6, seed=3, max_iter=2)
+        points = scaled_points(graph, 4)
+        centers = np.stack([kmeanspp_seed(points, 4, np.random.default_rng([3, t]))
+                            for t in range(6)])
+        runs = lloyd(points, 4, centers, max_iter=2)
         assert [r.iterations for r in runs] == [min(r.iterations, 2) for r in uncut]
         assert any(r.iterations > 2 for r in uncut)
-        centers = [kmeanspp_seed(scaled_points(graph, 4), 4, np.random.default_rng([3, t]))
-                   for t in range(6)]
-        assert_matches_reference(scaled_points(graph, 4), 4, centers, runs, max_iter=2)
+        assert_matches_reference(points, 4, centers, runs, max_iter=2)
 
     def test_peak_memory_bounded_by_the_distance_block(self):
         # n = 3000, k = 20, 100 trials: one unbounded distance block would be

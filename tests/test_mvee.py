@@ -131,7 +131,8 @@ def test_stats_count_the_solve(rng):
 
 
 @pytest.mark.parametrize("name", ["eps", "tau_active"])
-@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+# -0.001: a negative tau_active would leave fewer than k boundary columns
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, -0.001])
 def test_non_finite_tolerance_rejected(name, value, rng):
     with pytest.raises(ValueError, match=f"{name} must be .*{value!r}"):
         solve_mvee(rng.standard_normal((3, 10)), **{name: value})

@@ -5,7 +5,6 @@ import pytest
 
 from ellispec import (
     accuracy,
-    conductance,
     conductance_bound,
     delta_sweep,
     partition_profile,
@@ -60,8 +59,8 @@ class TestConductanceIdentity:
             sizes = [int(s) for s in rng.integers(3, 12, size=k)]
             delta = float(rng.uniform(0.05, 2.0))
             inst = synth_adjacency(sizes, delta, int(rng.integers(10_000)))
-            for i, members in enumerate(inst.truth.clusters()):
-                direct = conductance(inst.graph, members)
+            profile = partition_profile(inst.graph, inst.truth)
+            for i, direct in enumerate(profile["per_cluster"]):
                 assert direct == pytest.approx(
                     delta / (inst.c[i] + delta), abs=1e-12
                 )
