@@ -13,6 +13,7 @@ eigenvalue is available for diagnostics.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -51,7 +52,10 @@ class Embedding:
     ``stats`` holds the solver's counters: ``method`` ("eigh" or
     "arpack"), ``matvecs`` (ARPACK operator products, 0 for eigh),
     ``worst_residual`` (largest ||L v - lambda v|| over the k pairs),
-    ``lambda_k`` and ``lambda_next``.
+    ``lambda_k``, ``lambda_next`` and ``subspace_bound``: the eigengap
+    bound worst_residual / (lambda_next - lambda_k) on how far the
+    computed eigenspace may lie from the exact one (Davis-Kahan), inf when
+    the gap is 0.  No solve is refused for a large bound.
     """
 
     P: np.ndarray
@@ -172,7 +176,9 @@ def bottom_k_eigs(graph: WeightedGraph, k: int) -> Embedding:
     vecs = vecs[:, order]
     P = vecs[:, :k].T.copy()
     worst = _validate(P, vals[:k], w, dinv)
+    gap = float(vals[k] - vals[k - 1])
     stats = {"method": method, "matvecs": matvecs, "worst_residual": worst,
-             "lambda_k": float(vals[k - 1]), "lambda_next": float(vals[k])}
+             "lambda_k": float(vals[k - 1]), "lambda_next": float(vals[k]),
+             "subspace_bound": worst / gap if gap > 0 else math.inf}
     return Embedding(P=P, eigenvalues=vals[:k],
                      lambda_next=float(vals[k]), stats=stats)

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import os
 import struct
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +34,8 @@ class VectorDataset:
         self.X = np.asarray(self.X, dtype=np.float64)
         if self.X.ndim != 2:
             raise ValueError("expected a 2-d data matrix")
+        if not self.X.size:
+            raise ValueError(f"no features: the data matrix is {self.X.shape}")
         finite = np.isfinite(self.X).all(axis=1)
         if not finite.all():
             row = int(np.argmin(finite))
@@ -40,7 +44,7 @@ class VectorDataset:
             row = int(np.argwhere((self.X < 0).any(axis=1))[0][0])
             raise ValueError(f"row {row} contains a negative feature")
         norms = np.linalg.norm(self.X, axis=1)
-        if self.X.shape[0] and norms.min() == 0.0:
+        if norms.min() == 0.0:
             row = int(np.argmin(norms))
             raise ValueError(f"row {row} is a zero vector")
 
@@ -53,23 +57,38 @@ class VectorDataset:
         return self.X.shape[1]
 
 
+def _dataset(path, read) -> VectorDataset:
+    """A VectorDataset of what ``read()`` returns; a parse, shape or
+    content error raises InvalidGraphError naming the path."""
+    try:
+        return VectorDataset(read())
+    except ValueError as exc:
+        raise InvalidGraphError(f"{path}: {exc}") from exc
+
+
 def load_csv(path) -> VectorDataset:
     """One vector per row, comma-separated."""
-    return VectorDataset(np.loadtxt(path, delimiter=",", ndmin=2))
+    with warnings.catch_warnings():
+        # an empty file is rejected as such, naming the path
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        return _dataset(path, lambda: np.loadtxt(path, delimiter=",", ndmin=2))
 
 
 def load_vds(path) -> VectorDataset:
     """Packed little-endian binary: 16-byte header {magic 'VDS1', u32 n,
-    u32 d, 4 pad bytes}, then n*d float64 values row-major."""
+    u32 d, 4 pad bytes}, then n*d float64 values row-major.  The payload
+    size is checked against the header before anything is allocated."""
     with open(path, "rb") as fh:
         header = fh.read(16)
         if len(header) < 16 or header[:4] != _VDS_MAGIC:
-            raise ValueError(f"{path}: not a VDS1 file")
+            raise InvalidGraphError(f"{path}: not a VDS1 file")
         n, d = struct.unpack_from("<II", header, 4)
+        values = (os.fstat(fh.fileno()).st_size - 16) // 8
+        if values < n * d:
+            raise InvalidGraphError(
+                f"{path}: truncated payload ({values} of {n * d} values)")
         data = np.fromfile(fh, dtype="<f8", count=n * d)
-    if data.size != n * d:
-        raise ValueError(f"{path}: truncated payload ({data.size} of {n * d})")
-    return VectorDataset(data.reshape(n, d))
+    return _dataset(path, lambda: data.reshape(n, d))
 
 
 def save_vds(dataset: VectorDataset, path):

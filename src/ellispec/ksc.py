@@ -8,18 +8,22 @@ last member of their cluster, becomes a new one-point cluster).  All
 randomness flows through a seeded PCG64 generator; trial t of seed s
 uses the stream seeded by (s, t), so runs are reproducible.
 
-The trials of one call are seeded one at a time, then run their Lloyd
-iterations in lockstep.  Each step assigns the points for all A trials not
-yet at their fixpoint with one product of the points against all of those
-trials' centers (n x A*k), takes each trial's argmin over its own k
-columns, and sums every trial's new centroids with one sparse one-hot
-product; a trial retires once its assignment repeats.  The distances are
-formed over row blocks of the points, so that block and its one temporary
-hold at most BLOCK_BYTES whatever n, k and A; beyond that a call keeps
-O(n T) for the labels and distances of its T trials.  Only the centroid
-sums accumulate in another order than one trial at a time would, so
-costs agree with separate runs to rounding, and labels and iteration
-counts agree unless a point lies within rounding of a tie.
+The trials of one call are seeded together and then run their Lloyd
+iterations together.  Each k-means++ step forms every trial's squared
+distances to its new center with one product of the points against the T
+new centers (n x T), and each trial then draws from its own stream.  Each
+Lloyd step assigns the points for all A trials not yet at their fixpoint
+with one product of the points against all of those trials' centers
+(n x A*k), takes each trial's argmin over its own k columns, and sums
+every trial's new centroids with one sparse one-hot product; a trial
+retires once its assignment repeats.  Both products are formed over row
+blocks of the points, so a block and its temporaries hold at most
+BLOCK_BYTES whatever n, k and T; beyond that a call keeps O(n T) for the
+labels, distances and seeding weights of its T trials.  Only the
+rounding of the products and the order of the centroid sums differ from
+one trial at a time, so costs agree with separate runs to rounding, and
+centers, labels and iteration counts agree unless a draw or a point lies
+within rounding of a boundary or a tie.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ from .graph import Partition, WeightedGraph
 __all__ = ["KscRun", "kmeanspp_seed", "lloyd", "ksc_cluster"]
 
 MAX_ITER = 1000
-# bytes of a row block of squared distances plus its one temporary
+# bytes of a row block of squared distances plus its temporaries
 BLOCK_BYTES = 2 << 20
 
 
@@ -62,37 +66,69 @@ class KscRun:
     empty_repairs: int = 0
 
 
-def _sq_dists_to(points, center):
-    diff = points - center[:, None]
-    return np.einsum("ij,ij->j", diff, diff)
+def kmeanspp_seed(points: np.ndarray, k: int, rngs) -> np.ndarray:
+    """D^2-weighted seeding over the columns of a d x n matrix for T
+    trials, one per generator in ``rngs``; returns the T x d x k stack of
+    centers that ``lloyd`` takes.
 
+    A trial's first center is uniform over the points (one
+    ``integers(n)`` call); each later one is drawn with probability
+    proportional to the squared distance to the trial's nearest chosen
+    center (one ``random()`` call), or uniformly (one more
+    ``integers(n)``) once every such distance is zero.  Each trial draws
+    from its own generator only, so its centers do not depend on the
+    other trials.
 
-def kmeanspp_seed(points: np.ndarray, k: int, rng: np.random.Generator):
-    """D^2-weighted seeding over the columns of a d x n matrix.
-
-    The first center is uniform over the points; each subsequent center is
-    drawn with probability proportional to the squared distance to the
-    nearest chosen center.  If every remaining distance is zero (all
-    points already covered), the draw falls back to uniform.
+    The trials step together: one product of the points against the T
+    new centers gives every trial's squared distances as
+    |p|^2 + |c|^2 - 2 p.c, formed over row blocks that with their
+    temporaries hold at most BLOCK_BYTES.  A distance at or below the
+    rounding of that form, 2 (d + 2) eps (|p|^2 + |c|^2), counts as zero,
+    so a point on a chosen center weighs nothing, as it does in exact
+    arithmetic.
     """
     d, n = points.shape
     if n < k:
         raise ValueError(f"need at least k={k} points, got {n}")
-    centers = np.empty((d, k))
-    first = int(rng.integers(n))
-    centers[:, 0] = points[:, first]
-    best = _sq_dists_to(points, centers[:, 0])
-    for i in range(1, k):
-        cumulative = np.cumsum(best)
-        total = cumulative[-1]
-        if total > 0:
-            # the one uniform draw of Generator.choice(n, p=best / total);
-            # u < 1 makes u * total < total, so the index is below n
-            idx = int(np.searchsorted(cumulative, rng.random() * total, side="right"))
-        else:
-            idx = int(rng.integers(n))
-        centers[:, i] = points[:, idx]
-        np.minimum(best, _sq_dists_to(points, centers[:, i]), out=best)
+    trials = len(rngs)
+    p2 = np.einsum("ij,ij->j", points, points)
+    rounding = 2 * (d + 2) * np.finfo(np.float64).eps
+    # two float64 arrays and one boolean mask per block entry
+    step = max(1, BLOCK_BYTES // (17 * max(trials, 1)))
+    centers = np.empty((trials, d, k))
+    best = np.empty((trials, n))
+    cumulative = np.empty((trials, n))
+    idx = np.array([int(rng.integers(n)) for rng in rngs], dtype=np.int64)
+    for i in range(k):
+        chosen = points[:, idx]
+        centers[:, :, i] = chosen.T
+        if i == k - 1:
+            break
+        c2 = p2[idx, None]
+        minus_twice = -2.0 * chosen.T
+        for lo in range(0, n, step):
+            block = slice(lo, lo + step)
+            d2 = minus_twice @ points[:, block]
+            scale = c2 + p2[block]
+            d2 += scale
+            scale *= rounding
+            d2 *= d2 > scale  # rounding noise and negatives to zero
+            if i:
+                np.minimum(best[:, block], d2, out=best[:, block])
+            else:
+                best[:, block] = d2
+        np.cumsum(best, axis=1, out=cumulative)
+        totals = cumulative[:, -1]
+        weighted = (totals > 0).tolist()
+        # the one uniform draw of Generator.choice(n, p=best / total);
+        # u < 1 makes u * total < total, so the index is below n
+        draws = np.array([rng.random() if w else 0.0
+                          for rng, w in zip(rngs, weighted)]) * totals
+        # entries <= the draw: searchsorted(side="right") on each row
+        idx = np.count_nonzero(cumulative <= draws[:, None], axis=1)
+        for t, w in enumerate(weighted):
+            if not w:
+                idx[t] = rngs[t].integers(n)
     return centers
 
 
@@ -224,8 +260,8 @@ def ksc_cluster(graph: WeightedGraph, k: int, trials: int = 1,
         raise ValueError(f"need trials >= 1, got trials={trials}")
     emb = graph_embedding(graph, k)
     points = emb.P / np.sqrt(graph.degrees)[None, :]
-    centers = np.stack([kmeanspp_seed(points, k, np.random.default_rng([seed, t]))
-                        for t in range(trials)])
+    centers = kmeanspp_seed(points, k, [np.random.default_rng([seed, t])
+                                        for t in range(trials)])
     runs = lloyd(points, k, centers, seed=[(seed, t) for t in range(trials)])
     for run in runs:
         run.lambda_next = emb.lambda_next

@@ -60,15 +60,18 @@ def solve_mvee(P: np.ndarray, eps: float = DEFAULT_EPS,
     Terminates when max_i p_i^T M(u)^{-1} p_i <= (1 + eps) * k on a fresh
     factorization, the equivalence-theorem certificate; -log det X is then
     within k*log(1+eps) of optimal.  ``max_iter`` bounds the Khachiyan and
-    Newton steps together.
+    Newton steps together.  The solve stops at a relative gap of up to
+    eps, so boundary columns may sit up to about eps inside the ellipsoid;
+    ``tau_active`` below eps is rejected.
     """
     P = np.asarray(P, dtype=np.float64)
     k, n = P.shape
     if not (eps > 0 and math.isfinite(eps)):
         raise ValueError(f"eps must be positive and finite, got {eps!r}")
-    if not (tau_active >= 0 and math.isfinite(tau_active)):
+    if not (tau_active >= eps and math.isfinite(tau_active)):
         raise ValueError(
-            f"tau_active must be nonnegative and finite, got {tau_active!r}")
+            f"tau_active must be finite and at least eps={eps!r}, "
+            f"got {tau_active!r}")
     bad = np.flatnonzero(~np.isfinite(P).all(axis=0))
     if bad.size:
         raise ValueError(f"column {bad[0]} of P is not finite")

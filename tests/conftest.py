@@ -158,6 +158,31 @@ def reference_mvee(P, eps=1e-10, tau_active=1e-5, max_iter=10**6):
     return ell
 
 
+def reference_kmeanspp_seed(points, k, rng):
+    """One trial's k-means++ seeding in its own loop, each step's squared
+    distances formed from the d x n differences to the new center: an
+    independent, slower seeding to check the lockstep one against.  Draws
+    integers(n) for the first center, then per step one random() located
+    by searchsorted(side="right") in the running sum of the weights, or
+    integers(n) when every weight is zero.  Returns the d x k centers."""
+    d, n = points.shape
+    centers = np.empty((d, k))
+    centers[:, 0] = points[:, int(rng.integers(n))]
+    diff = points - centers[:, :1]
+    best = np.einsum("ij,ij->j", diff, diff)
+    for i in range(1, k):
+        cumulative = np.cumsum(best)
+        total = cumulative[-1]
+        if total > 0:
+            idx = int(np.searchsorted(cumulative, rng.random() * total, side="right"))
+        else:
+            idx = int(rng.integers(n))
+        centers[:, i] = points[:, idx]
+        diff = points - centers[:, i:i + 1]
+        np.minimum(best, np.einsum("ij,ij->j", diff, diff), out=best)
+    return centers
+
+
 def reference_lloyd(points, k, centers, max_iter=1000):
     """One k-means trial in its own loop, with one boolean mask per cluster
     for the centroid update and |p|^2 recomputed every iteration: an

@@ -235,7 +235,7 @@ def test_criterion_9_lloyd_monotone_and_deterministic(report):
         points = rng.standard_normal((int(rng.integers(2, 5)),
                                       int(rng.integers(20, 80))))
         k = int(rng.integers(2, 6))
-        centers = kmeanspp_seed(points, k, rng)
+        centers = kmeanspp_seed(points, k, [rng])[0]
         run = lloyd(points, k, centers[None])[0]
         ok &= all(a >= b - 1e-12 for a, b in
                   zip(run.cost_history, run.cost_history[1:]))

@@ -142,6 +142,32 @@ def test_stats_count_the_solve(rng, monkeypatch):
         assert emb.stats["lambda_next"] == emb.lambda_next
 
 
+def test_subspace_bound_on_a_known_gap():
+    # the complete graph K_5: L has eigenvalue 0 once and 5/4 four times,
+    # so at k = 1 the gap is 5/4
+    emb = bottom_k_eigs(WeightedGraph(np.ones((5, 5)) - np.eye(5)), 1)
+    s = emb.stats
+    assert s["lambda_k"] == pytest.approx(0.0, abs=1e-14)
+    assert s["lambda_next"] == pytest.approx(1.25, rel=1e-14)
+    assert s["subspace_bound"] == s["worst_residual"] / (s["lambda_next"] - s["lambda_k"])
+    assert s["subspace_bound"] == pytest.approx(s["worst_residual"] / 1.25, rel=1e-12)
+
+
+def test_subspace_bound_is_inf_without_a_gap(rng, monkeypatch):
+    # a solve whose lambda_{k+1} equals lambda_k has no gap to bound by
+    real = scipy.linalg.eigh
+
+    def tied(*args, **kwargs):
+        vals, vecs = real(*args, **kwargs)
+        vals[-1] = vals[-2]
+        return vals, vecs
+
+    monkeypatch.setattr(scipy.linalg, "eigh", tied)
+    emb = bottom_k_eigs(random_graph(rng, 30, density=0.3), 3)
+    assert emb.stats["lambda_next"] == emb.stats["lambda_k"]
+    assert emb.stats["subspace_bound"] == np.inf
+
+
 @pytest.mark.parametrize("converged", [2, 0])
 def test_arpack_failure_reports_converged_residual(rng, monkeypatch, converged):
     # eigsh gives up with `converged` pairs, perturbed so that their

@@ -80,14 +80,14 @@ class TestFileFormats:
     def test_vds_bad_magic(self, tmp_path):
         path = tmp_path / "bad.vds"
         path.write_bytes(b"NOPE" + b"\x00" * 12)
-        with pytest.raises(ValueError, match="not a VDS1"):
+        with pytest.raises(InvalidGraphError, match=f"{path}: not a VDS1"):
             load_vds(path)
 
     def test_vds_truncated(self, tmp_path):
         path = tmp_path / "cut.vds"
         save_vds(VectorDataset(np.ones((3, 3))), path)
         path.write_bytes(path.read_bytes()[:-8])
-        with pytest.raises(ValueError, match="truncated"):
+        with pytest.raises(InvalidGraphError, match=f"{path}: truncated"):
             load_vds(path)
 
 

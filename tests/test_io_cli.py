@@ -25,6 +25,10 @@ from ellispec.io import write_embedding
 from conftest import dense, random_graph
 
 
+# the 16-byte header of a VDS1 file holding 3 vectors of 2 features
+VDS_HEADER_3x2 = b"VDS1" + (3).to_bytes(4, "little") + (2).to_bytes(4, "little") + bytes(4)
+
+
 def read_json_lines(path):
     with open(path) as fh:
         return [json.loads(line) for line in fh if line.strip()]
@@ -184,6 +188,9 @@ class TestCliPipeline:
         assert stats["embed"]["matvecs"] == 0
         assert stats["embed"]["worst_residual"] <= 1e-8
         assert stats["embed"]["lambda_next"] == record["lambda_next"]
+        embed = stats["embed"]
+        assert embed["subspace_bound"] == (
+            embed["worst_residual"] / (embed["lambda_next"] - embed["lambda_k"]))
         assert stats["gap"] <= record["mvee_eps"]
         assert record["active_count"] >= 3 and record["elapsed_s"] > 0
 
@@ -337,8 +344,10 @@ class TestCliExitCodes:
 
     @pytest.mark.parametrize("flag, value", [("--mvee-eps", "nan"),
                                              ("--tau-active", "nan"),
-                                             ("--tau-active", "-0.001")],
-                             ids=["--mvee-eps", "--tau-active", "--tau-active=-0.001"])
+                                             ("--tau-active", "-0.001"),
+                                             ("--tau-active", "0")],
+                             ids=["--mvee-eps", "--tau-active", "--tau-active=-0.001",
+                                  "--tau-active=0"])
     def test_non_finite_mvee_tolerance_is_usage(self, flag, value, tmp_path, capsys):
         g = tmp_path / "g.mtx"
         main(["synth", "--sizes", "8x2", "--delta", "0.2", "--out", str(g),
@@ -439,12 +448,34 @@ class TestCliExitCodes:
         assert "must be real" in capsys.readouterr().err
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
-    def test_non_finite_feature_is_usage(self, value, tmp_path, capsys):
+    def test_non_finite_feature_is_invalid_vector_file(self, value, tmp_path, capsys):
         data = tmp_path / "bad.csv"
         data.write_text(f"1,2\n3,{value}\n2,1\n")
         assert main(["knn-graph", "--data", str(data), "--p", "1",
-                     "--out", str(tmp_path / "knn.mtx")]) == 2
-        assert "row 1 contains a non-finite feature" in capsys.readouterr().err
+                     "--out", str(tmp_path / "knn.mtx")]) == 5
+        assert f"{data}: row 1 contains a non-finite feature" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name, payload, message", [
+        ("cut.vds", VDS_HEADER_3x2 + b"\x00" * 40, "truncated payload (5 of 6 values)"),
+        ("empty.vds", b"", "not a VDS1 file"),
+        ("magic.vds", b"VDS2" + VDS_HEADER_3x2[4:] + b"\x00" * 48, "not a VDS1 file"),
+        ("empty.csv", b"", "no features: the data matrix is (0, 1)"),
+        ("text.csv", b"1,2\n3,x\n", "could not convert string 'x'"),
+        ("ragged.csv", b"1,2\n3,4,5\n", "the number of columns changed from 2 to 3"),
+        ("negative.csv", b"1,2\n3,-4\n2,1\n", "row 1 contains a negative feature"),
+        ("zero.vds", VDS_HEADER_3x2 + np.array([1.0, 2, 0, 0, 2, 1]).astype("<f8").tobytes(),
+         "row 1 is a zero vector"),
+    ], ids=["truncated", "empty", "wrong-magic", "empty-csv", "non-numeric",
+            "ragged", "negative", "zero-row"])
+    def test_malformed_vector_file_is_invalid(self, name, payload, message,
+                                              tmp_path, capsys):
+        data = tmp_path / name
+        data.write_bytes(payload)
+        out = tmp_path / "knn.mtx"
+        assert main(["knn-graph", "--data", str(data), "--p", "1",
+                     "--out", str(out)]) == 5
+        assert f"{data}: {message}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_asymmetric_matrix_is_invalid_graph(self, tmp_path):
         path = tmp_path / "asym.mtx"

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import reference_lloyd
+from conftest import reference_kmeanspp_seed, reference_lloyd
 from ellispec import (
     accuracy,
     kmeanspp_seed,
@@ -13,6 +13,7 @@ from ellispec import (
     lloyd,
     synth_adjacency,
 )
+from ellispec import ksc
 from ellispec.elli import graph_embedding
 from ellispec.ksc import BLOCK_BYTES, MAX_ITER
 
@@ -21,10 +22,11 @@ TOP_UNIFORM = 1.0 - 2.0 ** -53  # the largest value Generator.random() returns
 
 class StubGenerator:
     """Records the calls kmeanspp_seed makes; integers() returns ``first``,
-    random() returns TOP_UNIFORM."""
+    random() returns ``draw``."""
 
-    def __init__(self, first):
+    def __init__(self, first, draw=TOP_UNIFORM):
         self.first = first
+        self.draw = draw
         self.calls = []
 
     def integers(self, n):
@@ -33,7 +35,7 @@ class StubGenerator:
 
     def random(self):
         self.calls.append(("random",))
-        return TOP_UNIFORM
+        return self.draw
 
 
 def scaled_points(graph, k):
@@ -60,11 +62,10 @@ def assert_matches_reference(points, k, centers, runs, max_iter=MAX_ITER):
 class TestSeeding:
     def test_k1_uniform(self, rng):
         points = rng.standard_normal((2, 50))
-        counts = np.zeros(50)
-        for s in range(2000):
-            centers = kmeanspp_seed(points, 1, np.random.default_rng(s))
-            idx = int(np.argmin(np.linalg.norm(points - centers, axis=0)))
-            counts[idx] += 1
+        centers = kmeanspp_seed(points, 1, [np.random.default_rng(s) for s in range(2000)])
+        diff = points[:, None, :] - centers[:, :, 0].T[:, :, None]
+        idx = np.argmin(np.linalg.norm(diff, axis=0), axis=1)
+        counts = np.bincount(idx, minlength=50)
         # uniform over 50 points: expect 40 hits each, loose band
         assert counts.min() > 10
         assert counts.max() < 90
@@ -80,48 +81,134 @@ class TestSeeding:
         for first in range(9):
             d2 = (points[0] - points[0, first]) ** 2
             exact += (1.0 / 9.0) * d2[9] / d2.sum()
-        draws = 10_000
-        hits = kept = 0
-        for s in range(draws):
-            centers = kmeanspp_seed(points, 2, np.random.default_rng(s))
-            if abs(centers[0, 0] - 100.0) < 1e-9:
-                continue
-            kept += 1
-            if abs(centers[0, 1] - 100.0) < 1e-9:
-                hits += 1
-        freq = hits / kept
-        sigma = np.sqrt(exact * (1 - exact) / kept)
+        centers = kmeanspp_seed(points, 2, [np.random.default_rng(s) for s in range(10_000)])
+        outlier = np.abs(centers[:, 0] - 100.0) < 1e-9
+        kept = ~outlier[:, 0]
+        freq = outlier[kept, 1].mean()
+        sigma = np.sqrt(exact * (1 - exact) / kept.sum())
         assert abs(freq - exact) < 5 * sigma
         assert freq >= exact - 5 * sigma  # at least its D^2 share
 
     def test_identical_points_fall_back_to_uniform(self, rng):
         points = np.ones((3, 8))
-        centers = kmeanspp_seed(points, 3, rng)
+        centers = kmeanspp_seed(points, 3, [rng])
+        assert centers.shape == (1, 3, 3)
         assert np.allclose(centers, 1.0)
 
     def test_top_uniform_draw_picks_last_weighted_point(self):
-        # weights after the first center (point 0): 0, 1, 4, 9, 0, 0; a draw
-        # at the top of [0, 1) lands on the last point with nonzero weight,
-        # never past the end; then weights 0, 1, 1, 0, 0, 0 give point 2
+        # trial 0 starts at point 0: weights 0, 1, 4, 9, 0, 0; a draw at the
+        # top of [0, 1) lands on the last point with nonzero weight, never
+        # past the end; then weights 0, 1, 1, 0, 0, 0 give point 2.  Trial 1
+        # starts at point 3: weights 9, 4, 1, 0, 9, 9 give point 5, then
+        # 0, 1, 1, 0, 0, 0 give point 2
         points = np.array([[0.0, 1.0, 2.0, 3.0, 0.0, 0.0]])
-        stub = StubGenerator(first=0)
-        centers = kmeanspp_seed(points, 3, stub)
-        assert centers.tolist() == [[0.0, 3.0, 2.0]]
-        assert stub.calls == [("integers", 6), ("random",), ("random",)]
+        stubs = [StubGenerator(first=0), StubGenerator(first=3)]
+        centers = kmeanspp_seed(points, 3, stubs)
+        assert centers.tolist() == [[[0.0, 3.0, 2.0]], [[3.0, 0.0, 2.0]]]
+        for stub in stubs:
+            assert stub.calls == [("integers", 6), ("random",), ("random",)]
+
+    def test_draw_on_a_boundary_takes_the_next_point(self):
+        # weights 0, 0, 1, 1, 1, 1 from point 0 (running sums 0, 0, 1, 2, 3,
+        # 4): a draw of 0 skips the zero weights to point 2, and a draw of
+        # 1/4 (1 of 4) lands on the boundary after point 2 and takes point 3
+        points = np.array([[0.0, 0.0, 1.0, -1.0, 1.0, -1.0]])
+        stubs = [StubGenerator(first=0, draw=0.0), StubGenerator(first=0, draw=0.25)]
+        centers = kmeanspp_seed(points, 2, stubs)
+        assert centers.tolist() == [[[0.0, 1.0]], [[0.0, -1.0]]]
 
     def test_all_zero_weights_draw_uniform_in_order(self):
         # every distance is zero: each center after the first is one more
         # integers(n) call, and random() is never called
-        stub = StubGenerator(first=4)
-        centers = kmeanspp_seed(np.ones((2, 7)), 4, stub)
-        assert np.array_equal(centers, np.ones((2, 4)))
-        assert stub.calls == [("integers", 7)] * 4
+        stubs = [StubGenerator(first=f) for f in (4, 0, 6)]
+        centers = kmeanspp_seed(np.ones((2, 7)), 4, stubs)
+        assert np.array_equal(centers, np.ones((3, 2, 4)))
+        for stub in stubs:
+            assert stub.calls == [("integers", 7)] * 4
+
+    def test_zero_and_weighted_branches_in_one_step(self):
+        # In exact arithmetic every trial finds all its weights zero at the
+        # same step, once its centers cover every distinct point; the two
+        # branches meet in one step only through distances that count as
+        # zero.  Points 1, 1 + 2^-25, 1 - 2^-25: the squared distances 2^-50
+        # from point 0 lie below the rounding of the expanded form, about
+        # 12 * 2^-52 here, while 2^-48 between points 1 and 2 does not.
+        e = 2.0 ** -25
+        points = np.array([[1.0, 1.0 + e, 1.0 - e]])
+        zero, weighted = StubGenerator(first=0), StubGenerator(first=1)
+        centers = kmeanspp_seed(points, 2, [zero, weighted])
+        assert centers.tolist() == [[[1.0, 1.0]], [[1.0 + e, 1.0 - e]]]
+        assert zero.calls == [("integers", 3), ("integers", 3)]
+        assert weighted.calls == [("integers", 3), ("random",)]
 
     def test_scaling_invariance(self):
         points = np.random.default_rng(3).standard_normal((2, 40))
-        a = kmeanspp_seed(points, 4, np.random.default_rng(17))
-        b = kmeanspp_seed(3.5 * points, 4, np.random.default_rng(17))
+        a = kmeanspp_seed(points, 4, [np.random.default_rng(17)])
+        b = kmeanspp_seed(3.5 * points, 4, [np.random.default_rng(17)])
         assert np.allclose(3.5 * a, b)
+
+    def test_fewer_points_than_k_rejected(self):
+        with pytest.raises(ValueError, match="need at least k=4 points, got 3"):
+            kmeanspp_seed(np.ones((2, 3)), 4, [np.random.default_rng(0)])
+
+
+def resolved(points, picks):
+    """The columns of ``picks``, in order, that lie farther than 1e-5
+    relative from every earlier one kept.  Closer columns (the nodes of one
+    block at delta = 0 agree to about 1e-16) weigh zero against each other
+    in kmeanspp_seed, within the rounding of |p|^2 + |c|^2 - 2 p.c, but
+    not in the difference form of the reference, so that the two seedings
+    can take different branches once every other point is covered."""
+    p2 = np.einsum("ij,ij->j", points, points)
+    kept = []
+    for j in picks:
+        d2 = np.sum((points[:, kept] - points[:, [j]]) ** 2, axis=0)
+        if np.all(d2 > 1e-10 * (p2[kept] + p2[j])):
+            kept.append(j)
+    return kept
+
+
+@st.composite
+def seeding_inputs(draw):
+    """The points ksc_cluster clusters for a small synthetic graph, or
+    mostly copies of a few of their columns, so that many trials cover
+    every distinct point before their k-th center."""
+    sizes = draw(st.lists(st.integers(4, 12), min_size=2, max_size=6))
+    graph = synth_adjacency(sizes, draw(st.floats(0.0, 2.0)),
+                            draw(st.integers(0, 2 ** 16))).graph
+    k = len(sizes)
+    points = scaled_points(graph, k)
+    if draw(st.integers(0, 3)):
+        picks = draw(st.lists(st.integers(0, graph.n - 1), min_size=1,
+                              max_size=k, unique=True))
+        cols = draw(st.lists(st.sampled_from(resolved(points, picks)),
+                             min_size=k, max_size=4 * k))
+        points = points[:, cols]
+    return points, k
+
+
+class TestLockstepSeeding:
+    @settings(max_examples=200, deadline=None)
+    @given(seeding_inputs(), st.integers(1, 6), st.integers(0, 2 ** 16))
+    def test_each_trial_equals_the_reference(self, inputs, trials, seed):
+        points, k = inputs
+        centers = kmeanspp_seed(points, k, [np.random.default_rng([seed, t])
+                                            for t in range(trials)])
+        assert centers.shape == (trials, points.shape[0], k)
+        for t in range(trials):
+            expected = reference_kmeanspp_seed(points, k, np.random.default_rng([seed, t]))
+            assert np.array_equal(centers[t], expected)
+
+    def test_distances_formed_over_row_blocks(self, monkeypatch):
+        # 300 trials at a 64 KiB block: 12 rows per block, so the 500
+        # points take 42 blocks, the last one short
+        monkeypatch.setattr(ksc, "BLOCK_BYTES", 64 << 10)
+        points = np.random.default_rng(5).standard_normal((3, 500))
+        centers = kmeanspp_seed(points, 6, [np.random.default_rng([9, t])
+                                            for t in range(300)])
+        for t in (0, 157, 299):
+            expected = reference_kmeanspp_seed(points, 6, np.random.default_rng([9, t]))
+            assert np.array_equal(centers[t], expected)
 
 
 class TestLloyd:
@@ -141,15 +228,15 @@ class TestLloyd:
         for s in range(20):
             local = np.random.default_rng(s)
             points = local.standard_normal((3, 60))
-            centers = kmeanspp_seed(points, 4, local)
-            run = lloyd(points, 4, centers[None])[0]
+            centers = kmeanspp_seed(points, 4, [local])
+            run = lloyd(points, 4, centers)[0]
             assert all(a >= b - 1e-12 for a, b in
                        zip(run.cost_history, run.cost_history[1:]))
 
     def test_fixpoint_of_assignment(self, rng):
         points = rng.standard_normal((2, 50))
-        centers = kmeanspp_seed(points, 3, rng)
-        run = lloyd(points, 3, centers[None])[0]
+        centers = kmeanspp_seed(points, 3, [rng])
+        run = lloyd(points, 3, centers)[0]
         final_centers = np.column_stack([
             points[:, run.partition.labels == c].mean(axis=1) for c in range(3)
         ])
@@ -216,7 +303,7 @@ class TestBatchedLloyd:
         runs = ksc_cluster(graph, k, trials=trials, seed=seed)
         assert [r.seed for r in runs] == [(seed, t) for t in range(trials)]
         points = scaled_points(graph, k)
-        centers = [kmeanspp_seed(points, k, np.random.default_rng([seed, t]))
+        centers = [reference_kmeanspp_seed(points, k, np.random.default_rng([seed, t]))
                    for t in range(trials)]
         assert_matches_reference(points, k, centers, runs)
 
@@ -233,7 +320,8 @@ class TestBatchedLloyd:
         graph = synth_adjacency([20, 25, 18, 15], 1.2, 1).graph
         runs = ksc_cluster(graph, 4, trials=6, seed=3)
         assert len({r.iterations for r in runs}) >= 4
-        centers = [kmeanspp_seed(scaled_points(graph, 4), 4, np.random.default_rng([3, t]))
+        centers = [reference_kmeanspp_seed(scaled_points(graph, 4), 4,
+                                           np.random.default_rng([3, t]))
                    for t in range(6)]
         assert_matches_reference(scaled_points(graph, 4), 4, centers, runs)
         # a trial's elapsed time runs until it retires
@@ -244,7 +332,7 @@ class TestBatchedLloyd:
         graph = synth_adjacency([20, 25, 18, 15], 1.2, 1).graph
         uncut = ksc_cluster(graph, 4, trials=6, seed=3)
         points = scaled_points(graph, 4)
-        centers = np.stack([kmeanspp_seed(points, 4, np.random.default_rng([3, t]))
+        centers = np.stack([reference_kmeanspp_seed(points, 4, np.random.default_rng([3, t]))
                             for t in range(6)])
         runs = lloyd(points, 4, centers, max_iter=2)
         assert [r.iterations for r in runs] == [min(r.iterations, 2) for r in uncut]

@@ -138,6 +138,17 @@ def test_non_finite_tolerance_rejected(name, value, rng):
         solve_mvee(rng.standard_normal((3, 10)), **{name: value})
 
 
+@pytest.mark.parametrize("tau_active", [0.0, 9e-8])
+def test_tau_active_below_eps_rejected(tau_active, rng):
+    # at tau_active = 0 boundary columns that the solve left just inside
+    # the ellipsoid would drop out of the active set
+    with pytest.raises(ValueError, match=f"tau_active must be .*at least "
+                                         f"eps=1e-07, got {tau_active!r}"):
+        solve_mvee(rng.standard_normal((3, 10)), eps=1e-7, tau_active=tau_active)
+    assert solve_mvee(rng.standard_normal((3, 10)), eps=1e-7,
+                      tau_active=1e-7).active.size >= 3
+
+
 @pytest.mark.parametrize("value", [np.nan, np.inf])
 def test_non_finite_columns_rejected(value, rng):
     P = rng.standard_normal((3, 10))
