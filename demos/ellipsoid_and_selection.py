@@ -40,4 +40,3 @@ active = active_indices(e, square, 1e-5)
 print(f"active columns of the square: {[int(i) for i in active]}")
 picked = spa_select(square, active, 2)
 print(f"successive projection keeps:  {picked}")
-print("ties break toward the lowest column index, so reruns agree")

@@ -41,8 +41,10 @@ def group_columns(P, mvee_eps: float = DEFAULT_EPS,
                   tau_active: float = DEFAULT_TAU_ACTIVE) -> ElliResult:
     """Group the columns of a k x n array into k clusters.
 
-    Deterministic: all ties break toward the lowest index.  Raises
-    RankError when fewer than k columns lie on the ellipsoid boundary.
+    Deterministic.  A node scoring equally against two representatives
+    goes to the lower cluster id; the thinning breaks exact ties as
+    ``spa_select`` does.  Raises RankError when fewer than k columns lie
+    on the ellipsoid boundary.
     """
     P = np.asarray(P, dtype=np.float64)
     k = P.shape[0]

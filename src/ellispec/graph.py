@@ -145,6 +145,12 @@ class Partition:
             raise InvalidPartitionError("labels must be a nonempty 1-d vector")
         if k is None:
             k = int(labels.max()) + 1
+        if k > labels.size:
+            # checked before counting: a huge label would size the count
+            raise InvalidPartitionError(
+                f"{k} nonempty clusters need at least {k} labels, "
+                f"got {labels.size}"
+            )
         present = np.bincount(labels[(labels >= 0) & (labels < k)], minlength=k)
         if labels.min() < 0 or labels.max() >= k:
             raise InvalidPartitionError(

@@ -25,17 +25,25 @@ def read_graph(path) -> WeightedGraph:
     ``pattern`` files (no weights) are rejected; ``general`` coordinate
     files are read and must hold a symmetric matrix.  A file the Matrix
     Market parser cannot read (no banner, a bad header, a missing line,
-    an index out of range) raises InvalidGraphError naming the path.
+    an index out of range) raises InvalidGraphError naming the path, and
+    so does a size line that is not square or has more rows than twice
+    its stored entries, since some node would then have no edge.
     """
     try:
         # mminfo takes the path: on an open file it aborts the interpreter
         # (SciPy 1.17)
-        *_, layout, field, symmetry = scipy.io.mminfo(path)
+        rows, cols, entries, layout, field, symmetry = scipy.io.mminfo(path)
         if layout != "coordinate" or field == "pattern":
             raise InvalidGraphError(
                 f"{path}: unsupported Matrix Market header "
                 f"'{layout} {field} {symmetry}': a graph file must be "
                 f"coordinate with explicit weights"
+            )
+        # checked before mmread, which allocates by the size line
+        if rows != cols or rows > 2 * entries:
+            raise InvalidGraphError(
+                f"{path}: a {rows} x {cols} matrix with {entries} stored "
+                f"entries leaves some node without an edge"
             )
         with open(path, "rb") as fh:
             mat = scipy.io.mmread(fh)

@@ -44,8 +44,8 @@ def nmi(found: Partition, truth: Partition) -> float:
     """Normalized mutual information 2 I(C;T) / (H(C) + H(T)), in [0, 1].
 
     Natural log throughout (the base cancels).  If both partitions are
-    single-cluster the entropies vanish; the value is defined as 1 when
-    the partitions are equal, otherwise rejected.
+    single-cluster the entropies vanish; the value is then defined as 1,
+    since two single-cluster partitions of the same n nodes are equal.
     """
     table = contingency(found, truth).astype(np.float64)
     n = float(found.n)
@@ -54,11 +54,7 @@ def nmi(found: Partition, truth: Partition) -> float:
     h_found = float(-np.sum(pu[pu > 0] * np.log(pu[pu > 0])))
     h_truth = float(-np.sum(pv[pv > 0] * np.log(pv[pv > 0])))
     if h_found + h_truth == 0.0:
-        if np.array_equal(found.labels, truth.labels):
-            return 1.0
-        raise InvalidPartitionError(
-            "NMI undefined: both partitions single-cluster but unequal"
-        )
+        return 1.0
     pij = table / n
     mask = pij > 0
     outer = np.outer(pu, pv)

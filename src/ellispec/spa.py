@@ -2,15 +2,18 @@
 
 Repeatedly picks the candidate column of largest Euclidean norm, then
 projects every remaining candidate onto the orthogonal complement of the
-picked column.  Ties go to the lowest index.  Used to thin an active set
-down to exactly k indices.
+picked column.  That is QR with column pivoting (Businger & Golub 1965),
+so the picks are the first k pivots of LAPACK's ``dgeqp3``.  Two
+candidates tie exactly when their columns are identical or opposite;
+LAPACK then takes the one that comes first in its current column order,
+which for the first pick is the lowest index but after a column swap
+may not be.  Used to thin an active set down to exactly k indices.
 """
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
+import scipy.linalg
 
 from ._errors import RankError
 
@@ -24,32 +27,21 @@ def spa_select(P: np.ndarray, candidates, k: int) -> list[int]:
 
     Returns the indices in selection order.  Raises RankError if the
     candidate columns collapse (all residual norms below tolerance)
-    before k picks are made.
+    before k picks are made, and ValueError if P is not finite.
     """
     P = np.asarray(P, dtype=np.float64)
     cand = np.asarray(sorted(candidates), dtype=np.int64)
     if cand.size < k:
         raise ValueError(f"need at least {k} candidates, got {cand.size}")
 
-    residual = P[:, cand].copy()
-    basis = np.zeros((P.shape[0], 0))
-    selected = []
-    for _ in range(k):
-        norms = np.einsum("ij,ij->j", residual, residual)
-        j = int(np.argmax(norms))
-        if norms[j] <= _COLLAPSE_TOL**2:
-            raise RankError(
-                f"candidate columns collapsed after {len(selected)} of {k} "
-                "selections",
-                numerical_rank=len(selected),
-            )
-        selected.append(int(cand[j]))
-        q = residual[:, j].copy()
-        # Gram-Schmidt against the previously picked directions, with one
-        # reorthogonalization pass for stability
-        q -= basis @ (basis.T @ q)
-        q -= basis @ (basis.T @ q)
-        q /= math.sqrt(float(q @ q))
-        basis = np.column_stack([basis, q])
-        residual -= np.outer(q, q @ residual)
-    return selected
+    # |R_jj| is the residual norm of the j-th pivot column when it is picked
+    R, pivots = scipy.linalg.qr(P[:, cand], overwrite_a=True, mode="r",
+                                pivoting=True)
+    kept = np.abs(np.diagonal(R)[:k]) > _COLLAPSE_TOL
+    rank = kept.size if kept.all() else int(np.argmin(kept))
+    if rank < k:
+        raise RankError(
+            f"candidate columns collapsed after {rank} of {k} selections",
+            numerical_rank=rank,
+        )
+    return cand[pivots[:k]].tolist()

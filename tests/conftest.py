@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from ellispec import Ellipsoid, Partition, WeightedGraph, active_indices, spa_select
+from ellispec import (
+    Ellipsoid,
+    Partition,
+    RankError,
+    WeightedGraph,
+    active_indices,
+)
 
 THETA_CONST = 17.0 - 12.0 * np.sqrt(2.0)
 
@@ -120,6 +126,40 @@ def scaled_noise(rng, shape, spectral_norm=None, column_norm=None):
     return r
 
 
+def reference_spa_select(P, candidates, k):
+    """Successive projection as its own Gram-Schmidt loop: pick the
+    candidate of largest residual norm, lowest index first on exact ties,
+    then project it out of every residual.  An independent, slower
+    selection to check spa_select against.  Raises RankError when every
+    residual norm is at most 1e-12 before k picks are made."""
+    P = np.asarray(P, dtype=np.float64)
+    cand = np.asarray(sorted(candidates), dtype=np.int64)
+    if cand.size < k:
+        raise ValueError(f"need at least {k} candidates, got {cand.size}")
+    residual = P[:, cand].copy()
+    basis = np.zeros((P.shape[0], 0))
+    selected = []
+    for _ in range(k):
+        norms = np.einsum("ij,ij->j", residual, residual)
+        j = int(np.argmax(norms))
+        if norms[j] <= 1e-12**2:
+            raise RankError(
+                f"candidate columns collapsed after {len(selected)} of {k} "
+                "selections",
+                numerical_rank=len(selected),
+            )
+        selected.append(int(cand[j]))
+        q = residual[:, j].copy()
+        # Gram-Schmidt against the previously picked directions, with one
+        # reorthogonalization pass for stability
+        q -= basis @ (basis.T @ q)
+        q -= basis @ (basis.T @ q)
+        q /= np.sqrt(q @ q)
+        basis = np.column_stack([basis, q])
+        residual -= np.outer(q, q @ residual)
+    return selected
+
+
 def reference_mvee(P, eps=1e-10, tau_active=1e-5, max_iter=10**6):
     """Frank-Wolfe over all n columns with Khachiyan's step size and away
     steps, refactorizing M(u) every iteration: an independent, slower MVEE
@@ -129,7 +169,7 @@ def reference_mvee(P, eps=1e-10, tau_active=1e-5, max_iter=10**6):
     P = np.asarray(P, dtype=np.float64)
     k, n = P.shape
     u = np.zeros(n)
-    u[spa_select(P, range(n), k)] = 1.0 / k
+    u[reference_spa_select(P, range(n), k)] = 1.0 / k
     for _ in range(max_iter):
         Minv = np.linalg.inv((P * u[None, :]) @ P.T)
         g = np.einsum("ij,ji->i", P.T @ Minv, P)

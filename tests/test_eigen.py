@@ -168,6 +168,25 @@ def test_subspace_bound_is_inf_without_a_gap(rng, monkeypatch):
     assert emb.stats["subspace_bound"] == np.inf
 
 
+@pytest.mark.parametrize("fault, message, achieved", [
+    ("scaled", "eigenvector rows are not orthonormal", 3.0),
+    ("shifted", "eigen-residual 1.000e-03 exceeds 1.0e-08", 1e-3),
+])
+def test_dense_solve_checked_before_use(rng, monkeypatch, fault, message, achieved):
+    # vectors of norm 2 are 3 off orthonormal; eigenvalues off by 1e-3
+    # leave a residual of 1e-3 on every unit vector
+    real = scipy.linalg.eigh
+
+    def faulty(*args, **kwargs):
+        vals, vecs = real(*args, **kwargs)
+        return (vals, 2.0 * vecs) if fault == "scaled" else (vals + 1e-3, vecs)
+
+    monkeypatch.setattr(scipy.linalg, "eigh", faulty)
+    with pytest.raises(ConvergenceError, match=message) as err:
+        bottom_k_eigs(random_graph(rng, 30, density=0.3), 3)
+    assert err.value.achieved == pytest.approx(achieved, rel=1e-9)
+
+
 @pytest.mark.parametrize("converged", [2, 0])
 def test_arpack_failure_reports_converged_residual(rng, monkeypatch, converged):
     # eigsh gives up with `converged` pairs, perturbed so that their

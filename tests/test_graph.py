@@ -265,6 +265,17 @@ class TestPartition:
         with pytest.raises(InvalidPartitionError):
             Partition([0, 0, 2], k=3)
 
+    @pytest.mark.parametrize("labels, k, message", [
+        ([[0, 1], [1, 0]], None, "nonempty 1-d vector"),
+        ([0, -1, 1], None, r"must lie in \[0, 2\), got range \[-1, 1\]"),
+        ([0, 1, 3_000_000_000], None, "3000000001 nonempty clusters need at "
+                                      "least 3000000001 labels, got 3"),
+        ([0, 1, 1], 4, "4 nonempty clusters need at least 4 labels, got 3"),
+    ], ids=["2-d", "negative", "huge-label", "k-above-n"])
+    def test_invalid_labels_rejected(self, labels, k, message):
+        with pytest.raises(InvalidPartitionError, match=message):
+            Partition(labels, k=k)
+
     def test_clusters_roundtrip(self, rng):
         p = random_partition(rng, 30, 4)
         labels = np.full(30, -1)

@@ -9,8 +9,10 @@ import scipy.sparse as sp
 
 import ellispec.io
 from ellispec import (
+    ConvergenceError,
     InvalidPartitionError,
     Partition,
+    RankError,
     bottom_k_eigs,
     read_graph,
     read_labels,
@@ -145,6 +147,13 @@ class TestEmbeddingDump:
 
 
 class TestCliPipeline:
+    def test_sizes_with_and_without_a_count(self, tmp_path):
+        truth = tmp_path / "truth.txt"
+        assert main(["synth", "--sizes", "30,40,5x2", "--delta", "0.5",
+                     "--out", str(tmp_path / "g.mtx"), "--truth", str(truth),
+                     "--json", str(tmp_path / "rec.json")]) == 0
+        assert np.bincount(read_labels(truth).labels).tolist() == [30, 40, 5, 5]
+
     def test_synth_cluster_eval_chain(self, tmp_path):
         g = tmp_path / "g.mtx"
         truth = tmp_path / "truth.txt"
@@ -368,6 +377,44 @@ class TestCliExitCodes:
         bad = "kmeans" if "kmeans" in algos else ""
         assert f"bad --algos value {bad!r}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("error", [
+        ConvergenceError("ARPACK converged 0 of 3 eigenpairs", achieved=None),
+        RankError("candidate columns collapsed after 1 of 2 selections",
+                  numerical_rank=1),
+    ], ids=["convergence", "rank"])
+    def test_numerical_failure_is_exit_4(self, error, tmp_path, monkeypatch, capsys):
+        g = tmp_path / "g.mtx"
+        main(["synth", "--sizes", "8x2", "--delta", "0.2", "--out", str(g),
+              "--json", str(tmp_path / "s.json")])
+
+        def failing(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(cli, "elli_cluster", failing)
+        assert main(["cluster", "--algo", "elli", "--graph", str(g),
+                     "--k", "2"]) == 4
+        assert capsys.readouterr().err == f"error: {error}\n"
+
+    @pytest.mark.parametrize("args, message", [
+        (["--sizes", "30,0"], "bad --sizes value: '30,0'"),
+        ([], "sweep needs --suite or --sizes"),
+    ], ids=["bad-size", "no-sizes"])
+    def test_bad_sweep_sizes_are_usage(self, args, message, monkeypatch, capsys):
+        def no_draw(*args, **kwargs):
+            raise AssertionError("an instance was drawn")
+
+        monkeypatch.setattr(cli, "delta_sweep", no_draw)
+        assert main(["sweep", "--deltas", "0.3", *args]) == 2
+        assert f"error: {message}" in capsys.readouterr().err
+
+    def test_huge_label_is_partition_error(self, tmp_path, capsys):
+        # rejected before a count array is sized by the largest label
+        labels, truth = tmp_path / "labels.txt", tmp_path / "truth.txt"
+        labels.write_text("1\n2\n3000000000\n")
+        truth.write_text("1\n2\n2\n")
+        assert main(["eval", "--labels", str(labels), "--truth", str(truth)]) == 5
+        assert "3000000000 nonempty clusters" in capsys.readouterr().err
+
     def test_missing_file_is_io(self, tmp_path):
         assert main(["cluster", "--algo", "elli", "--k", "2",
                      "--graph", str(tmp_path / "missing.mtx")]) == 3
@@ -419,6 +466,21 @@ class TestCliExitCodes:
         assert main(["cluster", "--algo", "elli", "--graph", str(path),
                      "--k", "2"]) == 5
         assert f"{path}: malformed Matrix Market file" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("size, message", [
+        ("3000000000 3000000000 1", "a 3000000000 x 3000000000 matrix with 1 "
+                                    "stored entries"),
+        ("3 2 2", "a 3 x 2 matrix with 2 stored entries"),
+    ], ids=["huge", "non-square"])
+    def test_size_line_without_edges_for_every_node_is_invalid_graph(
+            self, size, message, tmp_path, capsys):
+        # rejected before mmread allocates by the size line
+        path = tmp_path / "g.mtx"
+        path.write_text("%%MatrixMarket matrix coordinate real general\n"
+                        f"{size}\n2 1 1.0\n")
+        assert main(["cluster", "--algo", "elli", "--graph", str(path),
+                     "--k", "2"]) == 5
+        assert f"{path}: {message}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("weight", ["inf", "nan"])
     def test_non_finite_weight_is_invalid_graph(self, weight, tmp_path, capsys):

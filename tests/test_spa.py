@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ellispec import RankError, spa_select
+from ellispec import RankError, group_columns, spa_select, synth_adjacency
+from ellispec import elli as elli_module
 
-from conftest import random_orthogonal
+from conftest import planted_columns, random_orthogonal, reference_spa_select
 
 
 def test_candidate_set_of_size_k_returned_whole():
@@ -65,3 +68,50 @@ def test_too_few_candidates():
     P = np.eye(3)
     with pytest.raises(ValueError):
         spa_select(P, [0], 2)
+
+
+@st.composite
+def gaussian_inputs(draw):
+    """A k x m Gaussian P from a seeded generator, and a candidate list."""
+    k = draw(st.integers(1, 8))
+    m = draw(st.integers(k, 60))
+    P = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).standard_normal((k, m))
+    return P, draw(st.lists(st.integers(0, m - 1), min_size=k, unique=True)), k
+
+
+@st.composite
+def embedding_inputs(draw):
+    """A synthetic graph's bottom-k embedding, and a candidate list."""
+    sizes = draw(st.lists(st.integers(3, 12), min_size=2, max_size=5))
+    delta = draw(st.sampled_from([0.1, 0.5, 1.0, 2.0]))
+    k = len(sizes)
+    graph = synth_adjacency(sizes, delta, draw(st.integers(0, 2**32 - 1))).graph
+    P = elli_module.graph_embedding(graph, k).P
+    return P, draw(st.lists(st.integers(0, graph.n - 1), min_size=k, unique=True)), k
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(gaussian_inputs(), embedding_inputs()))
+def test_matches_reference_selection(case):
+    # entries come from a generator, not hypothesis floats, so no two
+    # candidates tie exactly and the pick order is unique
+    P, cand, k = case
+    assert spa_select(P, cand, k) == reference_spa_select(P, cand, k)
+
+
+def test_twin_columns_give_the_reference_partition(rng, monkeypatch):
+    # a duplicated representative puts k + 1 columns on the boundary, and
+    # the two twins tie exactly in the thinning
+    P0, _, stats = planted_columns(rng, [5, 7, 6])
+    P = np.column_stack([P0, P0[:, stats["representatives"][1]]])
+    result = group_columns(P)
+    assert result.active_count == 4
+    monkeypatch.setattr(elli_module, "spa_select", reference_spa_select)
+    assert group_columns(P).partition == result.partition
+
+
+def test_non_finite_column_rejected(rng):
+    P = rng.standard_normal((3, 10))
+    P[:, 4] = np.nan
+    with pytest.raises(ValueError, match="must not contain infs or NaNs"):
+        spa_select(P, range(10), 3)
