@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import re
+import warnings
+
 import numpy as np
 import scipy.io
 import scipy.sparse as sp
@@ -27,8 +30,13 @@ def read_graph(path) -> WeightedGraph:
     Market parser cannot read (no banner, a bad header, a missing line,
     an index out of range) raises InvalidGraphError naming the path, and
     so does a size line that is not square or has more rows than twice
-    its stored entries, since some node would then have no edge.
+    its stored entries, since some node would then have no edge.  So does
+    a file that would crash SciPy 1.17's parser: a NUL byte anywhere, a
+    last line without a newline that is not a complete ``i j value``
+    entry (an exponent cut short, a stray byte in place of the newline),
+    or an index too large for its integer type.
     """
+    _check_bytes(path)
     try:
         # mminfo takes the path: on an open file it aborts the interpreter
         # (SciPy 1.17)
@@ -47,10 +55,42 @@ def read_graph(path) -> WeightedGraph:
             )
         with open(path, "rb") as fh:
             mat = scipy.io.mmread(fh)
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         raise InvalidGraphError(
             f"{path}: malformed Matrix Market file: {exc}") from exc
     return WeightedGraph(sp.csr_matrix(mat))
+
+
+# read_graph's byte checks: the NUL scan's buffer, and how far back from
+# the end of the file the last line is looked for
+_SCAN_BYTES = 1 << 20
+_LAST_LINE_BYTES = 256
+_ENTRY = re.compile(rb"[ \t]*\d+[ \t]+\d+[ \t]+[-+]?(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?")
+
+
+def _check_bytes(path):
+    """InvalidGraphError for the bytes that crash SciPy 1.17's Matrix
+    Market parser (it reads past its buffer): a NUL byte, or a last line
+    that has no newline and does not end right after a number.  Reads the
+    file once, a buffer at a time."""
+    buffer = bytearray(_SCAN_BYTES)
+    offset = 0
+    with open(path, "rb", buffering=0) as fh:
+        while size := fh.readinto(buffer):
+            at = buffer.find(b"\0", 0, size)
+            if at >= 0:
+                raise InvalidGraphError(
+                    f"{path}: malformed Matrix Market file: NUL byte at "
+                    f"offset {offset + at}")
+            offset += size
+        fh.seek(max(0, offset - _LAST_LINE_BYTES))
+        tail = fh.read()
+    last = tail[tail.rfind(b"\n") + 1:]
+    # one that fills the whole tail is too long to be an entry
+    if last.strip() and (len(last) == _LAST_LINE_BYTES or not _ENTRY.fullmatch(last)):
+        raise InvalidGraphError(
+            f"{path}: malformed Matrix Market file: the last line "
+            f"{last[-40:]!r} has no newline and is not a whole entry")
 
 
 def write_graph(graph: WeightedGraph, path):
@@ -67,17 +107,26 @@ def write_graph(graph: WeightedGraph, path):
 
 def read_labels(path) -> Partition:
     """Read a partition: one 1-based integer label per line, line i = node i-1."""
-    with open(path) as fh:
-        lines = [line for line in fh if line.strip()]
-    if not lines:
-        raise InvalidPartitionError(f"{path}: empty label file")
     try:
-        raw = np.loadtxt(lines, dtype=np.int64, ndmin=1)
+        with open(path) as fh:
+            lines = [line for line in fh if line.strip()]
+    except UnicodeDecodeError as exc:
+        raise InvalidPartitionError(f"{path}: not a text file: {exc}") from exc
+    try:
+        with warnings.catch_warnings():
+            # a file of blank or '#' lines only is rejected as empty
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            raw = np.loadtxt(lines, dtype=np.int64, ndmin=1)
     except ValueError as exc:
         raise InvalidPartitionError(f"{path}: labels must be integers: {exc}") from exc
+    if not raw.size:
+        raise InvalidPartitionError(f"{path}: empty label file")
     if raw.min() < 1:
         raise InvalidPartitionError(f"{path}: labels in files are 1-based")
-    return Partition(raw - 1)
+    try:
+        return Partition(raw - 1)
+    except InvalidPartitionError as exc:
+        raise InvalidPartitionError(f"{path}: {exc}") from exc
 
 
 def write_labels(partition: Partition, path):

@@ -6,10 +6,12 @@ import scipy.sparse as sp
 
 from ellispec import (
     Ellipsoid,
+    InvalidGraphError,
     Partition,
     RankError,
     WeightedGraph,
     active_indices,
+    ingest,
 )
 
 THETA_CONST = 17.0 - 12.0 * np.sqrt(2.0)
@@ -257,6 +259,49 @@ def reference_lloyd(points, k, centers, max_iter=1000):
         for cid in range(k):
             centers[:, cid] = points[:, labels == cid].mean(axis=1)
     return labels, cost, iterations, history, repairs
+
+
+def reference_cosine_knn_graph(dataset, p):
+    """The p-nearest cosine graph with each row's p-th largest similarity
+    taken by a full-row np.partition and its neighbors by a 2-d np.nonzero
+    over the block: an independent, slower selection to check
+    cosine_knn_graph against.  Reads ingest.KNN_BLOCK_ROWS and
+    ingest.KNN_TIE_ULPS at call time, so it forms the same block products."""
+    n = dataset.n
+    if not 1 <= p < n:
+        raise ValueError(f"need 1 <= p < n, got p={p}, n={n}")
+    unit = dataset.X / np.linalg.norm(dataset.X, axis=1)[:, None]
+
+    rows, cols, sims = [], [], []
+    for lo in range(0, n, ingest.KNN_BLOCK_ROWS):
+        hi = min(lo + ingest.KNN_BLOCK_ROWS, n)
+        block = unit[lo:hi] @ unit.T
+        local = np.arange(hi - lo)
+        block[local, local + lo] = -np.inf
+        kth = np.partition(block, n - p, axis=1)[:, n - p]
+        kth -= ingest.KNN_TIE_ULPS * np.spacing(kth)
+        r, c = np.nonzero(block >= kth[:, None])
+        rows.append(r + lo)
+        cols.append(c)
+        sims.append(block[r, c])
+    rows, cols, sims = (np.concatenate(v) for v in (rows, cols, sims))
+
+    pairs, first = np.unique(np.minimum(rows, cols) * n + np.maximum(rows, cols),
+                             return_index=True)
+    w = sims[first]
+    positive = w > 0.0
+    i, j = np.divmod(pairs[positive], n)
+    w = w[positive]
+
+    edges = np.bincount(i, minlength=n) + np.bincount(j, minlength=n)
+    if edges.min() == 0:
+        node = int(np.argmin(edges))
+        raise InvalidGraphError(f"node {node} has no positively-weighted neighbors")
+    adjacency = sp.csr_matrix(
+        (np.concatenate([w, w]), (np.concatenate([i, j]), np.concatenate([j, i]))),
+        shape=(n, n),
+    )
+    return WeightedGraph(adjacency)
 
 
 @pytest.fixture

@@ -3,7 +3,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -11,7 +11,7 @@ from ellispec import InvalidGraphError, VectorDataset, cosine_knn_graph, load_cs
 from ellispec import ingest
 from ellispec.ingest import save_vds
 
-from conftest import dense
+from conftest import dense, reference_cosine_knn_graph
 
 
 def brute_cosine_knn(X, p):
@@ -235,6 +235,55 @@ def test_blocked_build_matches_brute_force(case):
     assume(rank_p_is_separated(X, p))
     with mock.patch.object(ingest, "KNN_BLOCK_ROWS", block_rows):
         assert_matches_brute_force(X, p)
+
+
+@st.composite
+def knn_tie_inputs(draw):
+    """Vectors drawn as copies of a few distinct rows, many entries zero, so
+    that duplicate rows tie exactly and some rows' p-th similarity is 0;
+    p = n - 1 half the time; block and screening-chunk sizes drawn too."""
+    d = draw(st.integers(2, 5))
+    base = draw(arrays(np.float64, (draw(st.integers(1, 8)), d),
+                       elements=st.sampled_from([0.0, 0.0, 0.0, 0.25, 0.5, 1.0])
+                       | st.floats(0.01, 1.0)))
+    base[~base.any(axis=1), 0] = 1.0
+    n = draw(st.integers(2, 24))
+    X = base[draw(arrays(np.int64, n, elements=st.integers(0, len(base) - 1)))]
+    p = draw(st.just(n - 1) | st.integers(1, n - 1))
+    return X, p, draw(st.integers(1, n + 1)), draw(st.integers(1, 8))
+
+
+def build_or_error(build, dataset, p):
+    try:
+        return build(dataset, p)
+    except InvalidGraphError as exc:
+        return str(exc)
+
+
+# duplicate rows at a tie; every p-th similarity 0 (orthogonal pairs);
+# n = p + 1; one-row blocks
+@example((np.array([[0.5, 1.0, 1.0]] + [[1.0, 1.0, 1.0]] * 11), 1, 16, 2))
+@example((np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, 1.0]]), 2, 3, 1))
+@example((np.array([[1.0, 0.2], [0.3, 1.0], [1.0, 1.0]]), 2, 1, 1))
+@settings(max_examples=300, deadline=None)
+@given(knn_tie_inputs())
+def test_screened_selection_matches_reference_bit_for_bit(case):
+    X, p, block_rows, screen_cols = case
+    dataset = VectorDataset(X)
+    with mock.patch.object(ingest, "KNN_BLOCK_ROWS", block_rows), \
+            mock.patch.object(ingest, "KNN_SCREEN_COLS", screen_cols):
+        got = build_or_error(cosine_knn_graph, dataset, p)
+        want = build_or_error(reference_cosine_knn_graph, dataset, p)
+    if isinstance(want, str):
+        assert got == want
+        return
+    a, b = got.adjacency, want.adjacency
+    assert type(a) is type(b)
+    if isinstance(a, np.ndarray):  # a graph at least half full is kept dense
+        assert np.array_equal(a, b)
+        return
+    for part in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(a, part), getattr(b, part)), part
 
 
 def test_memory_stays_below_one_similarity_matrix():

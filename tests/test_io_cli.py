@@ -1,6 +1,10 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -466,6 +470,28 @@ class TestCliExitCodes:
         assert main(["cluster", "--algo", "elli", "--graph", str(path),
                      "--k", "2"]) == 5
         assert f"{path}: malformed Matrix Market file" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("last", [
+        b"2 1 1.0E", b"2 1 1.0e", b"2 1 1.0E+", b"2 1 1.0E-", b"2 1 1e",
+        b"2 1 1.0\xea",
+        b"2 1 1.0\x00\n",
+        b"99999999999999999999 1 1.0\n",
+    ], ids=["exponent-E", "exponent-e", "exponent-E+", "exponent-E-",
+            "exponent-1e", "stray-byte-at-end", "nul-byte", "huge-index"])
+    def test_files_that_crash_the_parser_exit_5(self, last, tmp_path):
+        # in a child process: SciPy 1.17's mmread dies with SIGSEGV on the
+        # first three kinds and raises OverflowError on the last
+        path = tmp_path / "bad.mtx"
+        path.write_bytes(b"%%MatrixMarket matrix coordinate real symmetric\n"
+                         b"2 2 1\n" + last)
+        src = Path(ellispec.io.__file__).parents[1]
+        child = subprocess.run(
+            [sys.executable, "-m", "ellispec.cli", "cluster", "--algo", "elli",
+             "--graph", str(path), "--k", "1"],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": str(src)})
+        assert child.returncode == 5, child.stderr
+        assert f"{path}: malformed Matrix Market file" in child.stderr
 
     @pytest.mark.parametrize("size, message", [
         ("3000000000 3000000000 1", "a 3000000000 x 3000000000 matrix with 1 "
