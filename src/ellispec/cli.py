@@ -12,10 +12,8 @@ from __future__ import annotations
 import argparse
 import csv as csvmod
 import json
-import os
 import sys
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 
 import numpy as np
 
@@ -44,17 +42,13 @@ SWEEP_ALGOS = ("elli", "ksc")
 
 
 def _parse_sizes(text):
-    """'100x10' -> ten clusters of 100 nodes; terms separated by commas."""
-    sizes = []
-    for term in text.split(","):
-        if "x" in term:
-            size, count = term.split("x")
-            sizes.extend([int(size)] * int(count))
-        else:
-            sizes.append(int(term))
-    if not sizes or any(s < 1 for s in sizes):
+    """'100x10' -> ten clusters of 100 nodes; terms separated by commas.
+    A size or a count below 1 is rejected."""
+    terms = [term.split("x") if "x" in term else (term, 1) for term in text.split(",")]
+    terms = [(int(size), int(count)) for size, count in terms]
+    if any(size < 1 or count < 1 for size, count in terms):
         raise ValueError(f"bad --sizes value: {text!r}")
-    return sizes
+    return [size for size, count in terms for _ in range(count)]
 
 
 def _emit(records, json_path):
@@ -232,16 +226,11 @@ def _cmd_sweep(args):
             raise ValueError(f"bad --algos value {algo!r}: each name must be "
                              f"one of {', '.join(SWEEP_ALGOS)}")
     deltas = [float(v) for v in args.deltas.split(",")] if args.deltas else DEFAULT_DELTAS
-    threads = args.threads or os.cpu_count() or 1
-    # at most `threads` points in flight; each instance, with its adjacency
-    # and embedding, is dropped once its row exists
-    rows, pending = [], deque()
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        for inst in delta_sweep(sizes, deltas, seed=args.seed):
-            pending.append(pool.submit(_sweep_point, inst, algos, args.trials, args.seed))
-            if len(pending) == threads:
-                rows.append(pending.popleft().result())
-        rows.extend(future.result() for future in pending)
+    # one point at a time, in order: BLAS already runs each point's products
+    # on every core, and each instance, with its adjacency and embedding, is
+    # dropped once its row exists, before the next W is built
+    point = partial(_sweep_point, algos=algos, trials=args.trials, seed=args.seed)
+    rows = list(map(point, delta_sweep(sizes, deltas, seed=args.seed)))
     records = [{"algo": "sweep", "k": len(sizes), "seed": args.seed,
                 "trials": args.trials, "version": __version__, **row} for row in rows]
     _emit(records, args.json)
@@ -313,8 +302,6 @@ def build_parser():
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--deltas", help="comma-separated values, default 0..2 step 0.1")
-    p.add_argument("--threads", type=int, default=0,
-                   help="worker pool size (0 = one per core)")
     p.add_argument("--csv")
     p.add_argument("--json")
     p.set_defaults(func=_cmd_sweep)

@@ -49,9 +49,11 @@ class VectorDataset:
         if (self.X < 0).any():
             row = int(np.argwhere((self.X < 0).any(axis=1))[0][0])
             raise ValueError(f"row {row} contains a negative feature")
-        norms = np.linalg.norm(self.X, axis=1)
-        if norms.min() == 0.0:
-            row = int(np.argmin(norms))
+        # a nonnegative row is zero exactly when its largest entry is; its
+        # norm can underflow to 0 first
+        peaks = self.X.max(axis=1)
+        if peaks.min() == 0.0:
+            row = int(np.argmin(peaks))
             raise ValueError(f"row {row} is a zero vector")
 
     @property
@@ -127,7 +129,10 @@ def cosine_knn_graph(dataset: VectorDataset, p: int) -> WeightedGraph:
     n = dataset.n
     if not 1 <= p < n:
         raise ValueError(f"need 1 <= p < n, got p={p}, n={n}")
-    unit = dataset.X / np.linalg.norm(dataset.X, axis=1)[:, None]
+    # each row scaled by a power of two, which is exact, to a largest entry
+    # in [0.5, 1) before its norm, so the norm neither overflows nor underflows
+    unit = dataset.X * np.ldexp(1.0, -np.frexp(dataset.X.max(axis=1))[1])[:, None]
+    unit /= np.linalg.norm(unit, axis=1)[:, None]
 
     # at least p screening chunks of columns, each holding a similarity off
     # the diagonal: chunks at least two wide, or else the n single columns

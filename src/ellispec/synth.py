@@ -119,9 +119,10 @@ def delta_sweep(sizes, deltas=DEFAULT_DELTAS, seed=0, permute=False):
     c = _cluster_constants(m, blocks)
     c_min = float(c.min())
     for delta in deltas:
-        graph, truth = _assemble(m, blocks, labels, delta, perm)
-        yield SynthInstance(graph=graph, truth=truth, delta=delta,
-                            c=c, c_min=c_min)
+        # no local keeps the graph, so once the consumer drops an instance
+        # nothing holds its W while the next one is built
+        yield SynthInstance(*_assemble(m, blocks, labels, delta, perm),
+                            delta=delta, c=c, c_min=c_min)
 
 
 def conductance_bound(c_min: float, delta: float) -> float:

@@ -147,6 +147,18 @@ class TestKnnGraph:
         assert w[0, 1] == pytest.approx(np.sqrt(0.5))
         assert w[0, 2] == 0.0  # orthogonal vectors carry no edge weight
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("scale", [1e200, 1e-170])
+    def test_huge_and_tiny_rows_build(self, scale):
+        # the norm of [scale, scale, 0] overflows or underflows unless the
+        # row is scaled first; its cosines are those of [1, 1, 0]
+        X = np.array([[1.0, 1.0, 0.0], [1, 1, 0.1], [1, 0.9, 0.2], [0.2, 1, 1]])
+        expected = dense(cosine_knn_graph(VectorDataset(X), 1).adjacency)
+        X[0] *= scale
+        w = dense(cosine_knn_graph(VectorDataset(X), 1).adjacency)
+        np.testing.assert_allclose(w, expected, rtol=1e-15, atol=0)
+        assert w[0, 1] > 0
+
     def test_orthogonal_isolate_rejected(self):
         X = np.array([[1.0, 0.0, 0.0],
                       [0.0, 1.0, 0.0],

@@ -262,7 +262,7 @@ class TestCliPipeline:
     def test_sweep_csv(self, tmp_path):
         out = tmp_path / "sweep.csv"
         assert main(["sweep", "--sizes", "12x3", "--deltas", "0.0,0.5",
-                     "--trials", "3", "--seed", "1", "--threads", "2",
+                     "--trials", "3", "--seed", "1",
                      "--csv", str(out), "--json",
                      str(tmp_path / "sweep.json")]) == 0
         with open(out) as fh:
@@ -276,14 +276,13 @@ class TestCliPipeline:
         assert len(recs) == 2
         assert {r["delta"] for r in recs} == {0.0, 0.5}
 
-    def test_sweep_records_match_across_thread_counts(self, tmp_path):
+    def test_sweep_records_are_reproducible(self, tmp_path):
         timing = {"elli_elapsed_s", "ksc_elapsed_s"}
         batches = []
-        for threads in ("1", "2"):
-            out = tmp_path / f"sweep{threads}.json"
+        for run in ("1", "2"):
+            out = tmp_path / f"sweep{run}.json"
             assert main(["sweep", "--sizes", "12x3", "--deltas", "0.0,0.3,0.6",
-                         "--trials", "4", "--seed", "5", "--threads", threads,
-                         "--json", str(out)]) == 0
+                         "--trials", "4", "--seed", "5", "--json", str(out)]) == 0
             batches.append([{key: v for key, v in r.items() if key not in timing}
                             for r in read_json_lines(out)])
         assert len(batches[0]) == 3
@@ -319,25 +318,23 @@ class TestCliPipeline:
         # 0.1) or 4 (delta 1.0) distinct partitions
         assert calls_once == {0.1: 1, 1.0: 4}[delta]
 
-    @pytest.mark.parametrize("threads", [1, 2])
-    def test_sweep_streams_instances(self, threads, tmp_path, monkeypatch):
-        # a point's instance is dropped once its row exists: one more than
-        # the points in flight may be alive while the next one is drawn
+    def test_sweep_streams_instances(self, tmp_path, monkeypatch):
+        # a point's instance is dropped once its row exists, so the graph
+        # just drawn is the only one alive
         real_sweep = cli.delta_sweep
         refs, alive = [], []
 
         def counting_sweep(*args, **kwargs):
             for inst in real_sweep(*args, **kwargs):
-                refs.append(weakref.ref(inst))
+                refs.append(weakref.ref(inst.graph))
                 alive.append(sum(ref() is not None for ref in refs))
                 yield inst
 
         monkeypatch.setattr(cli, "delta_sweep", counting_sweep)
         out = tmp_path / "sweep.json"
         assert main(["sweep", "--sizes", "12x3", "--deltas", "0.0,0.2,0.4,0.6,0.8,1.0",
-                     "--algos", "elli", "--threads", str(threads),
-                     "--json", str(out)]) == 0
-        assert len(alive) == 6 and max(alive) <= threads + 1
+                     "--algos", "elli", "--json", str(out)]) == 0
+        assert alive == [1] * 6
         assert [r["delta"] for r in read_json_lines(out)] == [0.0, 0.2, 0.4, 0.6, 0.8, 1.0]
 
 
@@ -401,8 +398,10 @@ class TestCliExitCodes:
 
     @pytest.mark.parametrize("args, message", [
         (["--sizes", "30,0"], "bad --sizes value: '30,0'"),
+        (["--sizes", "30,10x-1"], "bad --sizes value: '30,10x-1'"),
+        (["--sizes", "30,10x0"], "bad --sizes value: '30,10x0'"),
         ([], "sweep needs --suite or --sizes"),
-    ], ids=["bad-size", "no-sizes"])
+    ], ids=["bad-size", "negative-count", "zero-count", "no-sizes"])
     def test_bad_sweep_sizes_are_usage(self, args, message, monkeypatch, capsys):
         def no_draw(*args, **kwargs):
             raise AssertionError("an instance was drawn")

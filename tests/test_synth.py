@@ -1,8 +1,10 @@
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
+from ellispec import synth
 from ellispec import (
     accuracy,
     conductance_bound,
@@ -101,6 +103,21 @@ class TestSweep:
         assert len(insts) == 21
         assert insts[0].delta == 0.0
         assert insts[-1].delta == 2.0
+
+    def test_dropped_graph_is_gone_before_the_next_build(self, monkeypatch):
+        # the generator keeps no earlier graph while it builds the next W
+        real_assemble = synth._assemble
+        refs, alive = [], []
+
+        def counting_assemble(*args):
+            alive.append(sum(ref() is not None for ref in refs))
+            return real_assemble(*args)
+
+        monkeypatch.setattr(synth, "_assemble", counting_assemble)
+        for inst in delta_sweep([5, 6], deltas=[0.2, 0.6, 1.0], seed=3):
+            refs.append(weakref.ref(inst.graph))
+            del inst
+        assert alive == [0, 0, 0]
 
     def test_permuted_truth_follows_nodes(self):
         inst = synth_adjacency([6, 8, 5], 0.2, 21, permute=True)
