@@ -318,9 +318,10 @@ class TestCliPipeline:
         # 0.1) or 4 (delta 1.0) distinct partitions
         assert calls_once == {0.1: 1, 1.0: 4}[delta]
 
-    def test_sweep_streams_instances(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("trials", [1, 2])
+    def test_sweep_streams_instances(self, trials, tmp_path, monkeypatch):
         # a point's instance is dropped once its row exists, so the graph
-        # just drawn is the only one alive
+        # just drawn is the only one alive, however many trials ksc runs
         real_sweep = cli.delta_sweep
         refs, alive = [], []
 
@@ -333,7 +334,8 @@ class TestCliPipeline:
         monkeypatch.setattr(cli, "delta_sweep", counting_sweep)
         out = tmp_path / "sweep.json"
         assert main(["sweep", "--sizes", "12x3", "--deltas", "0.0,0.2,0.4,0.6,0.8,1.0",
-                     "--algos", "elli", "--json", str(out)]) == 0
+                     "--algos", "elli,ksc", "--trials", str(trials),
+                     "--json", str(out)]) == 0
         assert alive == [1] * 6
         assert [r["delta"] for r in read_json_lines(out)] == [0.0, 0.2, 0.4, 0.6, 0.8, 1.0]
 
