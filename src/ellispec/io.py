@@ -31,10 +31,11 @@ def read_graph(path) -> WeightedGraph:
     an index out of range) raises InvalidGraphError naming the path, and
     so does a size line that is not square or has more rows than twice
     its stored entries, since some node would then have no edge.  So does
-    a file that would crash SciPy 1.17's parser: a NUL byte anywhere, a
-    last line without a newline that is not a complete ``i j value``
-    entry (an exponent cut short, a stray byte in place of the newline),
-    or an index too large for its integer type.
+    a file that would crash SciPy 1.17's parser or that it would misread:
+    a NUL byte anywhere, an entry line that is not numbers and blanks (an
+    exponent cut short, a stray byte after a value), a last line without
+    a newline that is not a complete ``i j value`` entry, or an index too
+    large for its integer type.
     """
     _check_bytes(path)
     try:
@@ -61,36 +62,110 @@ def read_graph(path) -> WeightedGraph:
     return WeightedGraph(sp.csr_matrix(mat))
 
 
-# read_graph's byte checks: the NUL scan's buffer, and how far back from
-# the end of the file the last line is looked for
+# read_graph's byte checks: the buffer the file is read in, which is also
+# the longest line allowed, and the pattern a last line without a newline
+# must match
 _SCAN_BYTES = 1 << 20
-_LAST_LINE_BYTES = 256
 _ENTRY = re.compile(rb"[ \t]*\d+[ \t]+\d+[ \t]+[-+]?(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?")
+# an entry line: numbers apart from blanks, inf and nan included
+_NUMBER = rb"[-+]?(?:(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|(?i:inf(?:inity)?|nan))"
+_NUMBERS = re.compile(rb"[ \t\r]*(?:%s(?:[ \t\r]+%s)*)?[ \t\r]*" % (_NUMBER, _NUMBER))
+
+# _plain_numbers reads each byte that is not a digit as one of these
+_BLANK, _SIGN, _POINT, _EXP, _OTHER = range(5)
+_CLASS = np.full(256, _OTHER, dtype=np.int8)
+_CLASS[list(b" \t\r\n")] = _BLANK
+_CLASS[list(b"+-")] = _SIGN
+_CLASS[ord(".")] = _POINT
+_CLASS[list(b"eE")] = _EXP
+# what may lie between successive non-digits x and y (entry 5 x + y): any
+# digits, none, some, or any with a digit on one side of the point; no
+# other pair occurs in a number
+_ANY, _NONE, _SOME, _BESIDE_POINT = 1, 2, 3, 4
+_PAIRS = {
+    (_BLANK, _BLANK): _ANY, (_BLANK, _SIGN): _NONE, (_BLANK, _POINT): _ANY,
+    (_BLANK, _EXP): _SOME, (_SIGN, _BLANK): _SOME, (_SIGN, _POINT): _ANY,
+    (_SIGN, _EXP): _SOME, (_POINT, _BLANK): _BESIDE_POINT,
+    (_POINT, _EXP): _BESIDE_POINT, (_EXP, _BLANK): _SOME, (_EXP, _SIGN): _NONE,
+}
+_BETWEEN = np.zeros(25, dtype=np.int8)
+_BETWEEN[[5 * x + y for x, y in _PAIRS]] = list(_PAIRS.values())
+
+
+def _malformed(path, what):
+    return InvalidGraphError(f"{path}: malformed Matrix Market file: {what}")
 
 
 def _check_bytes(path):
-    """InvalidGraphError for the bytes that crash SciPy 1.17's Matrix
-    Market parser (it reads past its buffer): a NUL byte, or a last line
-    that has no newline and does not end right after a number.  Reads the
-    file once, a buffer at a time."""
-    buffer = bytearray(_SCAN_BYTES)
-    offset = 0
-    with open(path, "rb", buffering=0) as fh:
-        while size := fh.readinto(buffer):
-            at = buffer.find(b"\0", 0, size)
+    """InvalidGraphError for the bytes that SciPy 1.17's Matrix Market
+    parser crashes on or misreads: a NUL byte; an entry line that is not
+    numbers apart from blanks (the parser reads the longest number at the
+    start of a field and drops the rest of its line, so ``1.0E`` reads as
+    1.0 and ``2.5\\xea`` as 2.5); a line longer than _SCAN_BYTES; or a
+    last line that has no newline and is not a whole entry (the parser
+    reads past its buffer).  The header, the lines up to the first that
+    does not start with ``%``, may hold anything.  Reads the file once, a
+    buffer at a time."""
+    offset = 0  # of the first byte not yet checked
+    rest = b""  # the line that the last buffer cut short
+    header = True
+    with open(path, "rb") as fh:
+        while chunk := fh.read(_SCAN_BYTES):
+            at = chunk.find(b"\0")
             if at >= 0:
-                raise InvalidGraphError(
-                    f"{path}: malformed Matrix Market file: NUL byte at "
-                    f"offset {offset + at}")
-            offset += size
-        fh.seek(max(0, offset - _LAST_LINE_BYTES))
-        tail = fh.read()
-    last = tail[tail.rfind(b"\n") + 1:]
-    # one that fills the whole tail is too long to be an entry
-    if last.strip() and (len(last) == _LAST_LINE_BYTES or not _ENTRY.fullmatch(last)):
-        raise InvalidGraphError(
-            f"{path}: malformed Matrix Market file: the last line "
-            f"{last[-40:]!r} has no newline and is not a whole entry")
+                raise _malformed(path, f"NUL byte at offset {offset + len(rest) + at}")
+            data = rest + chunk
+            end = data.rfind(b"\n") + 1
+            start = 0
+            while header and start < end and data.startswith(b"%", start):
+                start = data.index(b"\n", start) + 1
+            header = header and start == end
+            if start < end and not _plain_numbers(data[start:end]):
+                _check_lines(path, data, start, end, offset)
+            offset += end
+            rest = data[end:]
+            if len(rest) > _SCAN_BYTES:
+                raise _malformed(path, f"the line at offset {offset} is longer "
+                                       f"than {_SCAN_BYTES} bytes")
+    if rest.strip() and not _ENTRY.fullmatch(rest):
+        raise _malformed(path, f"the last line {rest[-40:]!r} has no newline "
+                               f"and is not a whole entry")
+
+
+def _check_lines(path, data, start, end, offset):
+    """InvalidGraphError naming the first line of data[start:end] that is
+    not numbers apart from blanks; the lines start at file offset
+    ``offset`` + ``start``."""
+    for line in data[start:end - 1].split(b"\n"):
+        if not _NUMBERS.fullmatch(line):
+            raise _malformed(path, f"the entry line {line[:40]!r} at offset "
+                                   f"{offset + start} is not numbers and blanks")
+        start += len(line) + 1
+
+
+def _plain_numbers(lines):
+    """Whether every line of ``lines`` (whole lines, the last ending in a
+    newline) is numbers of the form [-+]d[.d][(e|E)[-+]d] apart from
+    blanks, with digits d on at least one side of the point.  Looks only
+    at the bytes that are not digits, and at whether a digit precedes
+    each: one vectorized pass, where matching _NUMBERS takes about twenty
+    times longer.  inf and nan, which _NUMBERS accepts, fail it."""
+    b = np.frombuffer(lines, dtype=np.uint8)
+    at = np.flatnonzero(b - np.uint8(48) > 9)
+    y = _CLASS.take(b.take(at))
+    # at[0] - 1 may be -1, which wraps to the closing newline
+    after_digit = b.take(at - 1) - np.uint8(48) <= 9
+    x = np.roll(y, 1)
+    x[0] = _BLANK
+    rule = _BETWEEN.take(5 * x + y)
+    ok = ((rule == _ANY) | (rule == _NONE) & ~after_digit
+          | (rule == _SOME) & after_digit
+          | (rule == _BESIDE_POINT) & (after_digit | np.roll(after_digit, 1)))
+    # only the sign that starts a number may precede its point or exponent
+    before_x = np.roll(x, 1)
+    before_x[0] = _BLANK
+    return bool(ok.all()) and not ((x == _SIGN) & (y != _BLANK)
+                                   & (before_x != _BLANK)).any()
 
 
 def write_graph(graph: WeightedGraph, path):

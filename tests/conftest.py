@@ -62,6 +62,20 @@ def brute_conductance(w_dense, degrees, cluster):
     return cut / vol
 
 
+def reference_conductances(graph, labels, k):
+    """Cut/volume of every cluster from one pass over the whole adjacency:
+    row c of H @ W (H the k x n cluster indicator) is the weight flowing
+    from cluster c into each node, and the part landing outside c is its
+    cut.  partition_profile still runs this product on CSR graphs and on
+    dense ones whose diagonal blocks hold more than GATHER_SHARE of W;
+    kept here to check its diagonal-block reads against."""
+    n = graph.n
+    indicator = sp.csr_matrix((np.ones(n), (labels, np.arange(n))), shape=(k, n))
+    flow = dense(indicator @ graph.adjacency)
+    flow[labels, np.arange(n)] = 0.0
+    return flow.sum(axis=1) / np.bincount(labels, weights=graph.degrees, minlength=k)
+
+
 def random_orthogonal(rng, k):
     q, r = np.linalg.qr(rng.standard_normal((k, k)))
     return q * np.sign(np.diag(r))[None, :]

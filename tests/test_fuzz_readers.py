@@ -11,6 +11,7 @@ import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import ellispec.io
 from ellispec import (
     InvalidGraphError,
     InvalidPartitionError,
@@ -98,6 +99,16 @@ def test_damaged_labels_raise_only_invalid_partition(tmp_path, data):
     path.write_bytes(data)
     with suppress(InvalidPartitionError):
         read_labels(path)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.lists(st.sampled_from([b"1", b"7", b"+", b"-", b".", b"e", b"E",
+                                          b" ", b"\t", b"\r"]),
+                         max_size=12).map(b"".join),
+                min_size=1, max_size=4))
+def test_vectorized_entry_check_matches_the_pattern(lines):
+    expected = all(ellispec.io._NUMBERS.fullmatch(line) for line in lines)
+    assert ellispec.io._plain_numbers(b"\n".join(lines) + b"\n") == expected
 
 
 def fuzz_read_graph(workdir, cases):

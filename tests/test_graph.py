@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -18,7 +18,7 @@ from ellispec import graph as graph_module
 from ellispec.eigen import _kernel
 
 from conftest import (brute_conductance, dense, laplacian, random_graph,
-                      random_partition)
+                      random_partition, reference_conductances)
 
 
 def path2():
@@ -342,3 +342,89 @@ def test_profile_matches_brute_force(case):
         assert abs(phi - brute_conductance(dense_w, g.degrees, np.flatnonzero(inside))) <= 1e-12
         if not dense_w[np.ix_(inside, ~inside)].any():
             assert phi == 0.0
+
+
+@st.composite
+def dense_graphs_with_labels(draw):
+    """A graph of at most 80 nodes stored dense, and labels with 1 to 12
+    ids, so that the diagonal blocks hold shares of W on both sides of
+    GATHER_SHARE.  Some draws cut every edge leaving one cluster."""
+    n = draw(st.integers(5, 80))
+    k = draw(st.integers(1, min(n, 12)))
+    labels = draw(arrays(np.int64, n, elements=st.integers(0, k - 1)))
+    labels = np.unique(labels, return_inverse=True)[1]
+    w = np.triu(draw(arrays(np.float64, (n, n), elements=st.floats(1e-3, 1e3))))
+    w += np.triu(w, 1).T
+    if draw(st.booleans()):
+        inside = labels == draw(st.integers(0, labels.max()))
+        w[np.ix_(inside, ~inside)] = w[np.ix_(~inside, inside)] = 0.0
+    g = WeightedGraph(w)
+    assume(isinstance(g.adjacency, np.ndarray))
+    return g, labels
+
+
+@settings(max_examples=200, deadline=None)
+@given(dense_graphs_with_labels())
+def test_dense_profile_matches_one_pass_reference(case):
+    g, labels = case
+    k = int(labels.max()) + 1
+    phis = np.array(partition_profile(g, Partition(labels))["per_cluster"])
+    np.testing.assert_allclose(phis, reference_conductances(g, labels, k),
+                               rtol=0, atol=1e-12)
+    for c, phi in enumerate(phis):
+        inside = labels == c
+        if not g.adjacency[np.ix_(inside, ~inside)].any():
+            assert phi == 0.0
+
+
+class TestDiagonalBlocks:
+    """Dense graphs scored from their diagonal blocks: ten clusters of six
+    nodes hold 0.1 of the entries, below GATHER_SHARE."""
+
+    labels = np.repeat(np.arange(10), 6)
+
+    def graph(self, rng, leaving=None):
+        """A dense graph on 60 nodes; with ``leaving``, cluster 0's only
+        edge out weighs that much."""
+        w = np.triu(rng.uniform(0.1, 1.0, (60, 60)))
+        w += np.triu(w, 1).T
+        if leaving is not None:
+            w[:6, 6:] = w[6:, :6] = 0.0
+            if leaving:
+                w[0, 59] = w[59, 0] = leaving
+        g = WeightedGraph(w)
+        assert isinstance(g.adjacency, np.ndarray)
+        assert (np.bincount(self.labels) ** 2).sum() <= (
+            graph_module.GATHER_SHARE * g.n ** 2)
+        return g
+
+    def test_cluster_with_no_leaving_edge_scores_exactly_zero(self, rng):
+        for _ in range(10):
+            phis = partition_profile(self.graph(rng, 0.0), Partition(self.labels))
+            assert phis["per_cluster"][0] == 0.0
+            assert min(phis["per_cluster"][1:]) > 0.0
+
+    def test_tiny_leaving_edge_is_not_lost_to_rounding(self, rng):
+        # vol - sum W[S, S] would round the cut to a multiple of ulp(vol),
+        # about 3.6e-15 here
+        for _ in range(10):
+            g = self.graph(rng, 1e-14)
+            phi = partition_profile(g, Partition(self.labels))["per_cluster"][0]
+            assert phi == pytest.approx(
+                brute_conductance(g.adjacency, g.degrees, range(6)), rel=1e-12,
+                abs=0.0)
+
+    @pytest.mark.parametrize("leaving", [None, 0.0, 1e-14])
+    def test_clusters_spanning_several_gather_blocks(self, leaving, rng,
+                                                     monkeypatch):
+        # seven entries per gather: a block of one row, so each cluster's
+        # six rows take six gathers, for its own columns and for the others
+        monkeypatch.setattr(graph_module, "GATHER_BLOCK", 7)
+        g = self.graph(rng, leaving)
+        phis = partition_profile(g, Partition(self.labels))["per_cluster"]
+        np.testing.assert_allclose(
+            phis, reference_conductances(g, self.labels, 10), rtol=0, atol=1e-12)
+        if leaving is not None:
+            assert phis[0] == pytest.approx(
+                brute_conductance(g.adjacency, g.degrees, range(6)), rel=1e-12,
+                abs=0.0)

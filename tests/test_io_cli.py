@@ -14,6 +14,7 @@ import scipy.sparse as sp
 import ellispec.io
 from ellispec import (
     ConvergenceError,
+    InvalidGraphError,
     InvalidPartitionError,
     Partition,
     RankError,
@@ -103,6 +104,29 @@ class TestGraphFiles:
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             read_graph(tmp_path / "absent.mtx")
+
+    @pytest.mark.parametrize("value", [b".5", b"5.", b"1e5", b"2.5E-1", b"1E+2",
+                                       b"2.5\r", b"\t2.5 "])
+    def test_number_forms_read(self, value, tmp_path):
+        path = tmp_path / "g.mtx"
+        path.write_bytes(b"%%MatrixMarket matrix coordinate real symmetric\n"
+                         b"% the header may hold anything: 1.0E \xea\n"
+                         b"3 3 2\n2 1 " + value + b"\n3 2 2.0\n")
+        assert read_graph(path).adjacency[1, 0] == float(value)
+
+    def test_lines_cut_by_the_read_buffer(self, rng, tmp_path, monkeypatch):
+        g = random_graph(rng, 12)
+        path = tmp_path / "g.mtx"
+        write_graph(g, path)
+        lines = path.read_bytes().split(b"\n")
+        # the 49-byte banner fits a buffer, and most lines straddle two
+        monkeypatch.setattr(ellispec.io, "_SCAN_BYTES", 64)
+        assert np.array_equal(dense(read_graph(path).adjacency), dense(g.adjacency))
+        assert lines[2].split() == [b"12", b"12", str(len(lines) - 4).encode()]
+        for i in range(3, len(lines) - 1):  # each entry line in turn
+            path.write_bytes(b"\n".join(lines[:i] + [lines[i] + b"E"] + lines[i + 1:]))
+            with pytest.raises(InvalidGraphError, match="is not numbers and blanks"):
+                read_graph(path)
 
 
 class TestLabelFiles:
@@ -493,6 +517,23 @@ class TestCliExitCodes:
             env={**os.environ, "PYTHONPATH": str(src)})
         assert child.returncode == 5, child.stderr
         assert f"{path}: malformed Matrix Market file" in child.stderr
+
+    @pytest.mark.parametrize("line", [
+        b"2 1 1.0E", b"3 2 2.5\xea", b"2 1 1..0", b"2 1 1.5.", b"2 1 1e5.5",
+        b"2 1 0x1p3", b"2 1 1.0 x", b"2 1 1,5",
+    ], ids=["exponent-cut-short", "stray-byte", "two-points", "trailing-point",
+            "point-in-exponent", "hex", "extra-field", "comma"])
+    def test_damaged_values_exit_5(self, line, tmp_path, capsys):
+        # SciPy 1.17's mmread reads each of these newline-ended lines as the
+        # longest number at the start of the value, dropping the rest
+        path = tmp_path / "bad.mtx"
+        path.write_bytes(b"%%MatrixMarket matrix coordinate real symmetric\n"
+                         b"3 3 2\n" + line + b"\n3 1 1.0\n")
+        with pytest.raises(InvalidGraphError, match="is not numbers and blanks"):
+            read_graph(path)
+        assert main(["cluster", "--algo", "elli", "--graph", str(path),
+                     "--k", "2"]) == 5
+        assert f"{path}: malformed Matrix Market file" in capsys.readouterr().err
 
     @pytest.mark.parametrize("size, message", [
         ("3000000000 3000000000 1", "a 3000000000 x 3000000000 matrix with 1 "
