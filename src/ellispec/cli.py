@@ -82,7 +82,7 @@ def _cmd_synth(args):
         "delta": args.delta,
         "n": inst.graph.n,
         "c_min": inst.c_min,
-        "bound": conductance_bound(inst.c_min, args.delta) if args.delta else 0.0,
+        "bound": conductance_bound(inst.c_min, args.delta),
         "sizes": args.sizes,
         "permute": args.permute,
     })

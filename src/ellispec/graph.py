@@ -3,11 +3,10 @@
 A ``WeightedGraph`` decides once, from the share of nonzero entries,
 whether its adjacency is held dense or as CSR; every later pass reads
 that one matrix.  The spectral embedding in ``eigen`` reads all of it;
-the scoring here reads a CSR adjacency once, O(nnz), and a dense one
-only in the diagonal blocks of the partition's clusters, sum |S_c|^2
-entries, unless those hold more than GATHER_SHARE of it (then all n^2
-once).  Nodes are 0-based everywhere in the API; file formats (Matrix
-Market, label files) are 1-based.
+the scoring here reads a CSR adjacency's stored entries once, O(nnz),
+and a dense one only in the diagonal blocks of the partition's clusters,
+sum |S_c|^2 entries.  Nodes are 0-based everywhere in the API; file
+formats (Matrix Market, label files) are 1-based.
 """
 
 from __future__ import annotations
@@ -31,19 +30,8 @@ DENSE_STORAGE_DENSITY = 0.5
 # the generator's mirror copy, Matrix Market output)
 BLOCK_ROWS = 256
 
-# Scoring a dense W from its diagonal blocks reads sum |S_c|^2 of its
-# entries, but each costs about 5x an entry of the one-hot product's
-# stream over all n^2, so the blocks are read only when they hold at most
-# this share of W.  Per call, one-hot product against diagonal blocks, on
-# synthetic graphs with 5 % of the labels moved (median of 7, one BLAS
-# thread, 2-vCPU Xeon VM):
-#   n = 1000, share 0.25 (k = 4): 0.68 vs 0.82 ms; 0.20: 0.66 vs 0.67 ms;
-#             0.10: 0.66 vs 0.47 ms
-#   n = 3000, share 0.25: 11.4 vs 11.8 ms; 0.20: 11.3 vs 9.4 ms;
-#             0.067 (k = 15): 9.7 vs 3.4 ms
-#   n = 4000, share 0.025 (k = 40): 19.9 vs 4.4 ms
-GATHER_SHARE = 0.2
-# entries of a dense W gathered at once by those reads
+# entries of a dense W gathered at once when it is scored from its diagonal
+# blocks
 GATHER_BLOCK = 1 << 16
 
 
@@ -53,7 +41,9 @@ class WeightedGraph:
     ``adjacency`` is the symmetric adjacency matrix (both triangles): a
     read-only float64 ndarray when at least DENSE_STORAGE_DENSITY of its
     entries are nonzero, whatever the input (ndarray, CSR or any SciPy
-    sparse format), and CSR otherwise.  ``degrees`` holds
+    sparse format), and CSR otherwise.  A sparse input storing at least
+    that share of entries is made dense before it is checked, so it is
+    never copied to CSR on the way.  ``degrees`` holds
     d_i = sum_j w(i, j).  Self-loops are allowed and count toward the
     degree but never toward any cut.  Every node must have positive
     degree.  A dense ndarray is copied unless ``copy=False``, which hands
@@ -63,6 +53,11 @@ class WeightedGraph:
     """
 
     def __init__(self, adjacency, copy=True):
+        # stored entries, duplicates and explicit zeros included, bound the
+        # nonzero ones: the ndarray test below makes the one decision
+        if (sp.issparse(adjacency) and adjacency.nnz
+                >= DENSE_STORAGE_DENSITY * np.prod(adjacency.shape)):
+            adjacency, copy = adjacency.toarray(), False
         if (isinstance(adjacency, np.ndarray) and adjacency.ndim == 2
                 and adjacency.shape[0] == adjacency.shape[1] and adjacency.size
                 and np.count_nonzero(adjacency)
@@ -72,9 +67,6 @@ class WeightedGraph:
         else:
             a = _checked_csr(adjacency)
             degrees = np.asarray(a.sum(axis=1)).ravel()
-            if a.nnz >= DENSE_STORAGE_DENSITY * a.shape[0] ** 2:
-                a = a.toarray()
-                a.flags.writeable = False
         if a.shape[0] and degrees.min() <= 0.0:
             node = int(np.argmin(degrees))
             raise InvalidGraphError(f"node {node} has zero degree")
@@ -243,36 +235,32 @@ def _block_sum(flat, n, rows, cols):
 def _conductances(graph: WeightedGraph, partition: Partition):
     """Cut/volume of each cluster of a partition of the graph's nodes.
 
-    A dense W whose diagonal blocks hold at most GATHER_SHARE of its
-    entries is read only there: cut_c = vol_c - sum W[S_c, S_c].  A cluster
-    whose cut comes out within the rounding of that difference has it
-    summed instead from the nonnegative entries of its rows that leave it.
-    Otherwise row c of H @ W (H the k x n cluster indicator) is the weight
-    flowing from cluster c into each node, and the part landing outside c
-    is its cut.  Either way a cluster with no leaving edge scores exactly
-    0.0, and self-loops never enter a cut.
+    A dense W is read only in its diagonal blocks: cut_c = vol_c -
+    sum W[S_c, S_c].  A cluster whose cut comes out within the rounding of
+    that difference has it summed instead from the nonnegative entries of
+    its rows that leave it.  A CSR W is read in its stored entries: each
+    row's entries in columns of another cluster are summed, and the row
+    sums are added up by cluster.  Either way a cluster with no leaving
+    edge scores exactly 0.0, and self-loops never enter a cut.
     """
     n, a = graph.n, graph.adjacency
     labels, k = partition.labels, partition.k
     vol = np.bincount(labels, weights=graph.degrees, minlength=k)
-    sizes = np.bincount(labels, minlength=k)
-    if isinstance(a, np.ndarray) and sizes @ sizes <= GATHER_SHARE * n * n:
+    if isinstance(a, np.ndarray):
         flat = a.reshape(-1)
         members = partition.clusters()
         cut = vol - [_block_sum(flat, n, m, m) for m in members]
         # vol and the block sums each carry rounding of up to about n eps vol
         for c in np.flatnonzero(cut <= n * np.finfo(np.float64).eps * vol):
             cut[c] = _block_sum(flat, n, members[c], np.flatnonzero(labels != c))
-        return cut / vol
-    indicator = sp.csr_matrix((np.ones(n), (labels, np.arange(n))), shape=(k, n))
-    flow = indicator @ a
-    if isinstance(flow, np.ndarray):
-        flow[labels, np.arange(n)] = 0.0  # weight staying inside its cluster
-        cut = flow.sum(axis=1)
     else:
-        source = np.repeat(np.arange(k), np.diff(flow.indptr))
-        leaving = labels[flow.indices] != source
-        cut = np.bincount(source[leaving], weights=flow.data[leaving], minlength=k)
+        rows = np.repeat(labels, np.diff(a.indptr))
+        # take: indexing by the int32 column indices is slower
+        leaving = np.where(labels.take(a.indices) != rows, a.data, 0.0)
+        # every degree is positive, so every row stores an entry and no
+        # segment of reduceat is empty
+        cut = np.bincount(labels, minlength=k,
+                          weights=np.add.reduceat(leaving, a.indptr[:-1]))
     return cut / vol
 
 
@@ -280,14 +268,13 @@ def partition_profile(graph: WeightedGraph, partition: Partition):
     """Per-cluster conductance together with its max (MCC) and sum.
 
     The sum is the normalized-cut objective value of the given partition.
-    All clusters are scored together: a CSR adjacency is read in one pass,
-    O(nnz); a dense one only in the clusters' diagonal blocks, sum |S_c|^2
-    entries (plus the rows of any cluster whose cut is within rounding of
-    zero), unless those blocks hold more than GATHER_SHARE of its n^2
-    entries, when it is read in one pass too.  Volumes come from
-    ``degrees``.  Self-loops count toward a cluster's volume but never
-    its cut.  The conductance of one cluster S is the first entry of the
-    profile of the two-way partition {S, rest}.
+    All clusters are scored together: a CSR adjacency is read once in its
+    stored entries, O(nnz); a dense one only in the clusters' diagonal
+    blocks, sum |S_c|^2 entries (plus the rows of any cluster whose cut is
+    within rounding of zero).  Volumes come from ``degrees``.  Self-loops
+    count toward a cluster's volume but never its cut.  The conductance of
+    one cluster S is the first entry of the profile of the two-way
+    partition {S, rest}.
     """
     if partition.n != graph.n:
         raise InvalidPartitionError(

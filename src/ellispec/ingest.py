@@ -99,14 +99,6 @@ def load_vds(path) -> VectorDataset:
     return _dataset(path, lambda: data.reshape(n, d))
 
 
-def save_vds(dataset: VectorDataset, path):
-    with open(path, "wb") as fh:
-        fh.write(_VDS_MAGIC)
-        fh.write(struct.pack("<II", dataset.n, dataset.d))
-        fh.write(b"\x00" * 4)
-        dataset.X.astype("<f8").tofile(fh)
-
-
 def cosine_knn_graph(dataset: VectorDataset, p: int) -> WeightedGraph:
     """Sparsified cosine-similarity graph under the OR neighbor rule.
 

@@ -59,7 +59,7 @@ def read_graph(path) -> WeightedGraph:
     except (ValueError, OverflowError) as exc:
         raise InvalidGraphError(
             f"{path}: malformed Matrix Market file: {exc}") from exc
-    return WeightedGraph(sp.csr_matrix(mat))
+    return WeightedGraph(mat)
 
 
 # read_graph's byte checks: the buffer the file is read in, which is also

@@ -199,12 +199,17 @@ def lloyd(points: np.ndarray, k: int, centers: np.ndarray,
     cost (e.g. 3.85e-18 then 5.20e-18 when the points sit on their centers).
 
     Each trial stops at an assignment fixpoint or after max_iter
-    iterations.  Empty clusters are processed in ascending cluster-index
-    order: each receives as a singleton the point currently farthest from
-    its assigned centroid that is not the last member of its cluster.
+    iterations; max_iter < 1 or an empty stack raises ValueError.  Empty
+    clusters are processed in ascending cluster-index order: each receives
+    as a singleton the point currently farthest from its assigned centroid
+    that is not the last member of its cluster.
     """
     t0 = time.perf_counter()
     stack = np.asarray(centers, dtype=np.float64)
+    if max_iter < 1:
+        raise ValueError(f"need max_iter >= 1, got max_iter={max_iter}")
+    if not len(stack):
+        raise ValueError("need at least one trial's centers, got none")
     seeds = [None] * len(stack) if seed is None else list(seed)
     trials, d, _ = stack.shape
     p2 = np.einsum("ij,ij->j", points, points)

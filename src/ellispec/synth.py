@@ -61,7 +61,10 @@ def _block_labels(sizes):
 
 
 def _cluster_constants(m, blocks):
-    """c_i = within-block mass / half the off-block mass, per block."""
+    """c_i = within-block mass / half the off-block mass, per block; inf for
+    a single block, which has no off-block mass."""
+    if len(blocks) == 1:
+        return np.array([np.inf])
     rows = m.sum(axis=1)
     c = np.empty(len(blocks))
     for i, (lo, hi) in enumerate(blocks):
@@ -129,11 +132,14 @@ def conductance_bound(c_min: float, delta: float) -> float:
     """delta / (c_min + delta): the truth partition's max cluster conductance.
 
     Serves as an upper bound on the graph conductance of the instance.
+    A singleton cluster has c = 0 and conductance 1 for any delta > 0; a
+    single cluster has c = inf and conductance 0.
     """
-    if c_min <= 0:
-        raise ValueError("c_min must be positive")
-    if delta < 0:
-        raise ValueError("delta must be nonnegative")
+    # NaN fails every comparison
+    if not c_min >= 0:
+        raise ValueError(f"c_min must be nonnegative, got {c_min}")
+    if not delta >= 0:
+        raise ValueError(f"delta must be nonnegative, got {delta}")
     if delta == 0:
         return 0.0
     return delta / (c_min + delta)

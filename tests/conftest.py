@@ -66,9 +66,9 @@ def reference_conductances(graph, labels, k):
     """Cut/volume of every cluster from one pass over the whole adjacency:
     row c of H @ W (H the k x n cluster indicator) is the weight flowing
     from cluster c into each node, and the part landing outside c is its
-    cut.  partition_profile still runs this product on CSR graphs and on
-    dense ones whose diagonal blocks hold more than GATHER_SHARE of W;
-    kept here to check its diagonal-block reads against."""
+    cut.  The independent oracle that partition_profile's reads of dense
+    graphs (diagonal blocks) and CSR ones (stored entries) are checked
+    against."""
     n = graph.n
     indicator = sp.csr_matrix((np.ones(n), (labels, np.arange(n))), shape=(k, n))
     flow = dense(indicator @ graph.adjacency)

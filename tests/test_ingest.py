@@ -9,9 +9,14 @@ from hypothesis.extra.numpy import arrays
 
 from ellispec import InvalidGraphError, VectorDataset, cosine_knn_graph, load_csv, load_vds
 from ellispec import ingest
-from ellispec.ingest import save_vds
 
 from conftest import dense, reference_cosine_knn_graph
+
+
+def write_vds(X, path):
+    """X in the VDS1 layout that load_vds reads."""
+    path.write_bytes(b"VDS1" + np.array(X.shape, dtype="<u4").tobytes() + bytes(4)
+                     + np.ascontiguousarray(X, dtype="<f8").tobytes())
 
 
 def brute_cosine_knn(X, p):
@@ -63,19 +68,18 @@ class TestFileFormats:
     def test_vds_round_trip(self, tmp_path):
         X = np.abs(np.random.default_rng(1).standard_normal((6, 4))) + 0.1
         path = tmp_path / "data.vds"
-        save_vds(VectorDataset(X), path)
+        write_vds(X, path)
         assert path.stat().st_size == 16 + 6 * 4 * 8
         ds = load_vds(path)
         assert np.array_equal(ds.X, X)
 
     def test_vds_header_layout(self, tmp_path):
+        # magic, u32 n, u32 d and four pad bytes, then the rows as <f8
         path = tmp_path / "tiny.vds"
-        save_vds(VectorDataset(np.array([[1.5, 2.5]])), path)
-        raw = path.read_bytes()
-        assert raw[:4] == b"VDS1"
-        assert np.frombuffer(raw[4:12], dtype="<u4").tolist() == [1, 2]
-        assert raw[12:16] == b"\x00" * 4
-        assert np.frombuffer(raw[16:], dtype="<f8").tolist() == [1.5, 2.5]
+        path.write_bytes(b"VDS1" + (1).to_bytes(4, "little")
+                         + (2).to_bytes(4, "little") + b"\xff" * 4
+                         + np.array([1.5, 2.5], dtype="<f8").tobytes())
+        assert load_vds(path).X.tolist() == [[1.5, 2.5]]
 
     def test_vds_bad_magic(self, tmp_path):
         path = tmp_path / "bad.vds"
@@ -85,7 +89,7 @@ class TestFileFormats:
 
     def test_vds_truncated(self, tmp_path):
         path = tmp_path / "cut.vds"
-        save_vds(VectorDataset(np.ones((3, 3))), path)
+        write_vds(np.ones((3, 3)), path)
         path.write_bytes(path.read_bytes()[:-8])
         with pytest.raises(InvalidGraphError, match=f"{path}: truncated"):
             load_vds(path)

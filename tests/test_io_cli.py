@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 import weakref
 from pathlib import Path
 
@@ -72,6 +73,21 @@ class TestGraphFiles:
         assert not back.adjacency.flags.writeable
         np.testing.assert_allclose(back.adjacency, g.adjacency,
                                    rtol=1e-12, atol=0)
+
+    def test_dense_file_read_peak(self, tmp_path):
+        # the parsed entries, both triangles, and the dense n x n array;
+        # no CSR copy on the way
+        n = 1000
+        path = tmp_path / "g.mtx"
+        write_graph(synth_adjacency([250] * 4, 0.5, 0).graph, path)
+        tracemalloc.start()
+        try:
+            g = read_graph(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert isinstance(g.adjacency, np.ndarray) and g.n == n
+        assert peak <= 4 * 8 * n * n
 
     def test_general_coordinate_file_read(self, tmp_path):
         path = tmp_path / "g.mtx"
@@ -299,6 +315,16 @@ class TestCliPipeline:
         recs = read_json_lines(tmp_path / "sweep.json")
         assert len(recs) == 2
         assert {r["delta"] for r in recs} == {0.0, 0.5}
+
+    def test_singleton_truth_cluster_bound_is_one(self, tmp_path):
+        rec = tmp_path / "rec.json"
+        assert main(["synth", "--sizes", "1,5", "--delta", "0.5",
+                     "--out", str(tmp_path / "g.mtx"), "--json", str(rec)]) == 0
+        record = read_json_lines(rec)[0]
+        assert record["c_min"] == 0.0 and record["bound"] == 1.0
+        assert main(["sweep", "--sizes", "1,5,5", "--deltas", "0.5",
+                     "--trials", "2", "--json", str(rec)]) == 0
+        assert [r["bound"] for r in read_json_lines(rec)] == [1.0]
 
     def test_sweep_records_are_reproducible(self, tmp_path):
         timing = {"elli_elapsed_s", "ksc_elapsed_s"}

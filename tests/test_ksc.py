@@ -264,6 +264,16 @@ class TestLloyd:
         assert run.iterations == 1
         assert_matches_reference(points, k, np.ones((1, 3, k)), [run], max_iter)
 
+    @pytest.mark.parametrize("centers, max_iter, message", [
+        (np.zeros((1, 1, 2)), 0, "max_iter >= 1, got max_iter=0"),
+        (np.zeros((1, 1, 2)), -3, "max_iter >= 1, got max_iter=-3"),
+        (np.zeros((0, 1, 2)), MAX_ITER, "at least one trial"),
+    ], ids=["no-iterations", "negative-iterations", "no-trials"])
+    def test_degenerate_arguments_rejected(self, centers, max_iter, message):
+        points = np.array([[0.0, 1.0, 10.0]])
+        with pytest.raises(ValueError, match=message):
+            lloyd(points, 2, centers, max_iter=max_iter)
+
 
 @st.composite
 def lloyd_batches(draw):

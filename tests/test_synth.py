@@ -80,6 +80,26 @@ class TestConductanceIdentity:
         with pytest.raises(ValueError):
             conductance_bound(1.0, -0.1)
 
+    @pytest.mark.parametrize("c_min, delta", [(np.nan, 0.5), (1.0, np.nan),
+                                              (np.nan, 0.0)])
+    def test_bound_rejects_nan(self, c_min, delta):
+        with pytest.raises(ValueError, match="nonnegative, got nan"):
+            conductance_bound(c_min, delta)
+
+    @pytest.mark.parametrize("delta", [0.3, 1.0, 2.0])
+    def test_singleton_cluster_has_conductance_one(self, delta):
+        inst = synth_adjacency([1, 5, 4], delta, 2)
+        assert inst.c[0] == 0.0 and inst.c_min == 0.0
+        mcc = partition_profile(inst.graph, inst.truth)["mcc"]
+        assert conductance_bound(inst.c_min, delta) == mcc == 1.0
+
+    def test_single_cluster_has_conductance_zero(self, recwarn):
+        inst = synth_adjacency([6], 0.5, 1)
+        assert not recwarn.list
+        assert inst.c.tolist() == [np.inf] and inst.c_min == np.inf
+        assert conductance_bound(inst.c_min, 0.5) == 0.0
+        assert partition_profile(inst.graph, inst.truth)["mcc"] == 0.0
+
     def test_bound_monotone_in_delta(self):
         vals = [conductance_bound(2.0, d) for d in np.linspace(0, 2, 21)]
         assert all(a <= b for a, b in zip(vals, vals[1:]))
