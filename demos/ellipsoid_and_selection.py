@@ -8,7 +8,7 @@ clusters, successive projection thins them to a well-spread subset.
 
 import numpy as np
 
-from ellispec import active_indices, solve_mvee, spa_select
+from ellispec import solve_mvee, spa_select
 
 rng = np.random.default_rng(0)
 
@@ -36,7 +36,6 @@ print("-----------------------------------")
 square = np.array([[1, -1, 1, -1, 1, -1, 0, 0],
                    [1, 1, -1, -1, 0, 0, 1, -1]], dtype=float)
 e = solve_mvee(square)
-active = active_indices(e, square, 1e-5)
-print(f"active columns of the square: {[int(i) for i in active]}")
-picked = spa_select(square, active, 2)
+print(f"active columns of the square: {[int(i) for i in e.active]}")
+picked = spa_select(square, e.active, 2)
 print(f"successive projection keeps:  {picked}")

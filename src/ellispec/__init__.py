@@ -26,7 +26,7 @@ from .ingest import VectorDataset, cosine_knn_graph, load_csv, load_vds
 from .io import read_graph, read_labels, write_graph, write_labels
 from .ksc import KscRun, kmeanspp_seed, ksc_cluster, lloyd
 from .metrics import accuracy, contingency, nmi, timed
-from .mvee import Ellipsoid, active_indices, solve_mvee
+from .mvee import Ellipsoid, solve_mvee
 from .spa import spa_select
 from .synth import (
     SynthInstance,
@@ -67,7 +67,6 @@ __all__ = [
     "nmi",
     "timed",
     "Ellipsoid",
-    "active_indices",
     "solve_mvee",
     "spa_select",
     "SynthInstance",

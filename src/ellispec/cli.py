@@ -25,7 +25,6 @@ from .ingest import cosine_knn_graph, load_csv, load_vds
 from .io import read_graph, read_labels, write_embedding, write_graph, write_labels
 from .ksc import ksc_cluster
 from .metrics import accuracy, nmi, timed
-from .mvee import DEFAULT_EPS, DEFAULT_TAU_ACTIVE
 from .synth import (
     DEFAULT_DELTAS,
     conductance_bound,
@@ -52,7 +51,8 @@ def _parse_sizes(text):
 
 
 def _emit(records, json_path):
-    lines = [json.dumps(r, sort_keys=True) for r in records]
+    # strict JSON: a non-finite value raises here instead of writing NaN
+    lines = [json.dumps(r, sort_keys=True, allow_nan=False) for r in records]
     if json_path:
         with open(json_path, "w") as fh:
             fh.write("\n".join(lines) + "\n")
@@ -81,7 +81,8 @@ def _cmd_synth(args):
     record.update({
         "delta": args.delta,
         "n": inst.graph.n,
-        "c_min": inst.c_min,
+        # one truth cluster has c = inf, which JSON spells null
+        "c_min": inst.c_min if np.isfinite(inst.c_min) else None,
         "bound": conductance_bound(inst.c_min, args.delta),
         "sizes": args.sizes,
         "permute": args.permute,
@@ -121,18 +122,13 @@ def _cmd_cluster(args):
 
     records = []
     if args.algo == "elli":
-        result, elapsed = timed(
-            elli_cluster, graph, args.k,
-            mvee_eps=args.mvee_eps, tau_active=args.tau_active,
-        )
+        result, elapsed = timed(elli_cluster, graph, args.k)
         record = _base_record(args, "elli", args.k)
         record.update(_scores(result.partition, graph, truth))
         record.update({
             "lambda_next": result.lambda_next,
             "elapsed_s": elapsed,
             "active_count": result.active_count,
-            "tau_active": args.tau_active,
-            "mvee_eps": args.mvee_eps,
             "stats": result.stats,
             "timings": result.timings,
         })
@@ -277,8 +273,6 @@ def build_parser():
     p.add_argument("--algo", choices=["elli", "ksc"], required=True)
     p.add_argument("--graph", required=True)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--tau-active", type=float, default=DEFAULT_TAU_ACTIVE)
-    p.add_argument("--mvee-eps", type=float, default=DEFAULT_EPS)
     p.add_argument("--trials", type=int, default=1)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--truth", help="if given, records include ac and nmi")

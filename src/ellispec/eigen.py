@@ -172,9 +172,12 @@ def bottom_k_eigs(graph: WeightedGraph, k: int) -> Embedding:
     w = graph.adjacency
     dinv = 1.0 / np.sqrt(graph.degrees)
     if n <= DENSE_THRESHOLD:
+        # I - S formed in place in one n x n array, which eigh may overwrite
         s = (w if isinstance(w, np.ndarray) else w.toarray()) * dinv[:, None]
-        s *= dinv[None, :]
-        vals, vecs = scipy.linalg.eigh(np.eye(n) - s, subset_by_index=[0, k])
+        s *= -dinv[None, :]
+        s.flat[::n + 1] += 1.0
+        vals, vecs = scipy.linalg.eigh(s, subset_by_index=[0, k],
+                                       overwrite_a=True)
         method, matvecs = "eigh", 0
     else:
         vals, vecs, matvecs = _arpack_eigs(w, dinv, kernel, k)

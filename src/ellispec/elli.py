@@ -17,7 +17,7 @@ import numpy as np
 from ._errors import InvalidGraphError, RankError
 from .eigen import Embedding, bottom_k_eigs
 from .graph import Partition, WeightedGraph
-from .mvee import DEFAULT_EPS, DEFAULT_TAU_ACTIVE, solve_mvee
+from .mvee import solve_mvee
 from .spa import spa_select
 
 __all__ = ["ElliResult", "group_columns", "graph_embedding", "elli_cluster"]
@@ -37,10 +37,11 @@ class ElliResult:
     stats: dict = field(default_factory=dict)
 
 
-def group_columns(P, mvee_eps: float = DEFAULT_EPS,
-                  tau_active: float = DEFAULT_TAU_ACTIVE) -> ElliResult:
+def group_columns(P) -> ElliResult:
     """Group the columns of a k x n array into k clusters.
 
+    The representatives come from the boundary columns of ``solve_mvee``,
+    at its fixed tolerances ``mvee.EPS`` and ``mvee.TAU_ACTIVE``.
     Deterministic.  A node scoring equally against two representatives
     goes to the lower cluster id; the thinning breaks exact ties as
     ``spa_select`` does.  Raises RankError when fewer than k columns lie
@@ -57,7 +58,7 @@ def group_columns(P, mvee_eps: float = DEFAULT_EPS,
         )
 
     t0 = time.perf_counter()
-    ellipsoid = solve_mvee(P, eps=mvee_eps, tau_active=tau_active)
+    ellipsoid = solve_mvee(P)
     active = ellipsoid.active
     t1 = time.perf_counter()
 
@@ -107,10 +108,8 @@ def graph_embedding(graph: WeightedGraph, k: int) -> Embedding:
     return emb
 
 
-def elli_cluster(graph: WeightedGraph, k: int,
-                 mvee_eps: float = DEFAULT_EPS,
-                 tau_active: float = DEFAULT_TAU_ACTIVE) -> ElliResult:
-    """Full pipeline: the graph's bottom-k embedding, then the grouping.
+def elli_cluster(graph: WeightedGraph, k: int) -> ElliResult:
+    """Full pipeline: the graph's bottom-k embedding, then ``group_columns``.
 
     ``stats["embed"]`` describes the solve that made the embedding, which
     may have run in an earlier call on the same graph.
@@ -118,7 +117,7 @@ def elli_cluster(graph: WeightedGraph, k: int,
     t0 = time.perf_counter()
     emb = graph_embedding(graph, k)
     t1 = time.perf_counter()
-    result = group_columns(emb.P, mvee_eps=mvee_eps, tau_active=tau_active)
+    result = group_columns(emb.P)
     result.timings["embed_s"] = t1 - t0
     result.stats["embed"] = dict(emb.stats)
     result.lambda_next = emb.lambda_next

@@ -147,10 +147,17 @@ class Partition:
     """A k-way partition of {0, ..., n-1} as a label vector.
 
     Labels are cluster ids 0..k-1; every id must occur at least once.
+    Float labels must be whole numbers that fit int64, such as 1.0.
     """
 
     def __init__(self, labels, k=None):
-        labels = np.asarray(labels, dtype=np.int64)
+        labels = np.asarray(labels)
+        # only float input is scanned: integer labels take no extra pass;
+        # the bound also fails for NaN and inf
+        if labels.dtype.kind == "f" and not ((np.abs(labels) < 2.0**63).all()
+                                             and (labels == np.trunc(labels)).all()):
+            raise InvalidPartitionError("labels must be whole numbers that fit int64")
+        labels = labels.astype(np.int64, copy=False)
         if labels.ndim != 1 or labels.size == 0:
             raise InvalidPartitionError("labels must be a nonempty 1-d vector")
         if k is None:

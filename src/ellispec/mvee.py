@@ -11,7 +11,7 @@ of columns, a core set (Kumar & Yildirim 2005) that starts at the k
 successive-projection columns:
 
 - inside W, a Khachiyan step (Frank-Wolfe with exact line search) raises
-  the weight of each column with g_i > (1 + eps) k, largest g first;
+  the weight of each column with g_i > (1 + EPS) k, largest g first;
 - equality-constrained Newton steps on log det M(u) then make g equal
   across the support {u_i > 0}; a step that would push a weight below
   zero stops at zero and drops that column (Todd & Yildirim 2007);
@@ -34,10 +34,13 @@ from scipy.linalg import lstsq
 from ._errors import ConvergenceError
 from .spa import spa_select
 
-__all__ = ["Ellipsoid", "solve_mvee", "active_indices"]
+__all__ = ["Ellipsoid", "solve_mvee"]
 
-DEFAULT_EPS = 1e-7
-DEFAULT_TAU_ACTIVE = 1e-5
+# the certificate is max_i p_i^T M(u)^{-1} p_i <= (1 + EPS) k; a column is on
+# the boundary when p^T X p >= 1 - TAU_ACTIVE, which is above EPS because the
+# solve may leave boundary columns up to about EPS inside the ellipsoid
+EPS = 1e-7
+TAU_ACTIVE = 1e-5
 
 
 @dataclass
@@ -52,26 +55,17 @@ class Ellipsoid:
     stats: dict = field(default_factory=dict)
 
 
-def solve_mvee(P: np.ndarray, eps: float = DEFAULT_EPS,
-               tau_active: float = DEFAULT_TAU_ACTIVE,
-               max_iter: int | None = None) -> Ellipsoid:
+def solve_mvee(P: np.ndarray, max_iter: int | None = None) -> Ellipsoid:
     """Origin-centered MVEE of the columns of the k x n matrix P.
 
-    Terminates when max_i p_i^T M(u)^{-1} p_i <= (1 + eps) * k on a fresh
+    Terminates when max_i p_i^T M(u)^{-1} p_i <= (1 + EPS) * k on a fresh
     factorization, the equivalence-theorem certificate; -log det X is then
-    within k*log(1+eps) of optimal.  ``max_iter`` bounds the Khachiyan and
-    Newton steps together.  The solve stops at a relative gap of up to
-    eps, so boundary columns may sit up to about eps inside the ellipsoid;
-    ``tau_active`` below eps is rejected.
+    within k*log(1+EPS) of optimal.  ``max_iter`` bounds the Khachiyan and
+    Newton steps together.  ``active`` holds the columns with
+    p^T X p >= 1 - TAU_ACTIVE, ascending.
     """
     P = np.asarray(P, dtype=np.float64)
     k, n = P.shape
-    if not (eps > 0 and math.isfinite(eps)):
-        raise ValueError(f"eps must be positive and finite, got {eps!r}")
-    if not (tau_active >= eps and math.isfinite(tau_active)):
-        raise ValueError(
-            f"tau_active must be finite and at least eps={eps!r}, "
-            f"got {tau_active!r}")
     bad = np.flatnonzero(~np.isfinite(P).all(axis=0))
     if bad.size:
         raise ValueError(f"column {bad[0]} of P is not finite")
@@ -80,7 +74,7 @@ def solve_mvee(P: np.ndarray, eps: float = DEFAULT_EPS,
 
     stats = {"pricing_rounds": 0, "iterations": 0, "khachiyan_steps": 0,
              "newton_steps": 0, "drop_steps": 0}
-    bound = (1.0 + eps) * k
+    bound = (1.0 + EPS) * k
     # the successive-projection pick of k columns spans R^k, and equal
     # weights on it are optimal for those k columns; spa_select raises
     # RankError when the columns do not span
@@ -94,7 +88,7 @@ def solve_mvee(P: np.ndarray, eps: float = DEFAULT_EPS,
         Minv = _inverse(P, u)
         g = _leverages(P, Minv)
         gap = float(g.max() / k - 1.0)
-        if gap <= eps:
+        if gap <= EPS:
             break
         new = np.setdiff1d(np.flatnonzero(g > bound), W)
         if stats["iterations"] >= max_iter or new.size == 0:
@@ -102,7 +96,7 @@ def solve_mvee(P: np.ndarray, eps: float = DEFAULT_EPS,
             # margin that this factorization does not repeat
             raise ConvergenceError(
                 f"MVEE solver stopped after {stats['iterations']} iterations "
-                f"with relative gap {gap:.3e} > {eps:.1e} (support "
+                f"with relative gap {gap:.3e} > {EPS:.1e} (support "
                 f"{np.count_nonzero(u)}, working set {W.size} of {n} columns)",
                 achieved=gap,
             )
@@ -113,10 +107,9 @@ def solve_mvee(P: np.ndarray, eps: float = DEFAULT_EPS,
                  gap=gap)
     X = Minv / k
     X = 0.5 * (X + X.T)
-    ell = Ellipsoid(X=X, u=u, epsilon_achieved=gap,
-                    active=np.array([], dtype=np.int64), stats=stats)
-    ell.active = active_indices(ell, P, tau_active)
-    return ell
+    active = np.flatnonzero(_leverages(P, X) >= 1.0 - TAU_ACTIVE)
+    return Ellipsoid(X=X, u=u, epsilon_achieved=gap, active=active,
+                     stats=stats)
 
 
 def _inverse(P, u):
@@ -205,13 +198,3 @@ def _newton(P, u, max_iter, stats):
         if drop is not None:
             u[drop] = 0.0
         u /= u.sum()
-
-
-def active_indices(ellipsoid: Ellipsoid, P: np.ndarray,
-                   tau_active: float = DEFAULT_TAU_ACTIVE) -> np.ndarray:
-    """Indices of columns lying on the ellipsoid boundary, ascending.
-
-    A column is active when p^T X p >= 1 - tau_active.
-    """
-    vals = np.einsum("ij,ji->i", P.T @ ellipsoid.X, P)
-    return np.flatnonzero(vals >= 1.0 - tau_active).astype(np.int64)

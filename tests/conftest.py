@@ -10,7 +10,6 @@ from ellispec import (
     Partition,
     RankError,
     WeightedGraph,
-    active_indices,
     ingest,
 )
 
@@ -208,10 +207,9 @@ def reference_mvee(P, eps=1e-10, tau_active=1e-5, max_iter=10**6):
     gap = float(g.max() / k - 1.0)
     assert gap <= eps, f"reference MVEE missed eps: gap {gap:.3e}"
     X = Minv / k
-    ell = Ellipsoid(X=0.5 * (X + X.T), u=u, epsilon_achieved=gap,
-                    active=np.array([], dtype=np.int64))
-    ell.active = active_indices(ell, P, tau_active)
-    return ell
+    X = 0.5 * (X + X.T)
+    active = np.flatnonzero(np.einsum("ij,ji->i", P.T @ X, P) >= 1 - tau_active)
+    return Ellipsoid(X=X, u=u, epsilon_achieved=gap, active=active)
 
 
 def reference_kmeanspp_seed(points, k, rng):

@@ -119,7 +119,7 @@ def test_criterion_4_mvee_certificate_and_planted_actives(report):
         k = int(rng.integers(2, 11))
         n = int(rng.integers(k + 1, 501))
         P = rng.standard_normal((k, n))
-        e = solve_mvee(P, eps=1e-7)
+        e = solve_mvee(P)
         minv = np.linalg.inv((P * e.u[None, :]) @ P.T)
         g = np.einsum("ij,ji->i", P.T @ minv, P)
         ok &= g.max() <= (1 + 1e-7) * k

@@ -282,6 +282,21 @@ def test_arpack_embedding_peak_memory():
     assert peak < 0.5 * 8 * n * n
 
 
+def test_dense_embedding_peak_memory():
+    # I - S is formed in place in one n x n array; LAPACK's copy of it in
+    # column order is the other, and no identity or difference is held
+    g = synth_adjacency([100] * 10, 0.5, 0).graph
+    n = g.n
+    assert n == DENSE_THRESHOLD and isinstance(g.adjacency, np.ndarray)
+    tracemalloc.start()
+    try:
+        bottom_k_eigs(g, 10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * 8 * n * n
+
+
 @pytest.mark.parametrize("dense_threshold", [DENSE_THRESHOLD, 1])
 def test_more_components_than_k(dense_threshold, monkeypatch):
     monkeypatch.setattr(ellispec.eigen, "DENSE_THRESHOLD", dense_threshold)

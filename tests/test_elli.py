@@ -89,7 +89,7 @@ class TestGroupColumns:
         P0, _, _ = planted_columns(rng, [5, 6, 4])
         ellipsoid = elli_module.solve_mvee(P0)
 
-        def two_active(P, eps, tau_active):
+        def two_active(P):
             return Ellipsoid(X=ellipsoid.X, u=ellipsoid.u, epsilon_achieved=0.0,
                              active=ellipsoid.active[:2])
 

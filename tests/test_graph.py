@@ -301,6 +301,22 @@ class TestPartition:
         with pytest.raises(InvalidPartitionError, match=message):
             Partition(labels, k=k)
 
+    @pytest.mark.parametrize("labels", [
+        [0, 1.5, 1], np.array([0.0, 1.7, 1.0]), [0.0, np.nan, 1.0],
+        [0.0, np.inf, 1.0], [0.0, 1.0, 1e300],
+    ], ids=["list", "array", "nan", "inf", "beyond-int64"])
+    def test_labels_that_are_not_whole_numbers_rejected(self, labels):
+        with pytest.raises(InvalidPartitionError, match="whole numbers"):
+            Partition(labels)
+
+    def test_whole_float_labels_accepted(self):
+        p = Partition(np.array([0.0, 1.0, 1.0]))
+        assert p.labels.dtype == np.int64 and list(p.labels) == [0, 1, 1]
+
+    def test_int64_labels_kept_without_a_copy(self):
+        labels = np.array([0, 1, 1])
+        assert Partition(labels).labels is labels
+
     def test_clusters_roundtrip(self, rng):
         p = random_partition(rng, 30, 4)
         labels = np.full(30, -1)

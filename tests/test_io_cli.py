@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -13,6 +14,7 @@ import scipy.io
 import scipy.sparse as sp
 
 import ellispec.io
+import ellispec.mvee
 from ellispec import (
     ConvergenceError,
     InvalidGraphError,
@@ -37,9 +39,16 @@ from conftest import dense, random_graph
 VDS_HEADER_3x2 = b"VDS1" + (3).to_bytes(4, "little") + (2).to_bytes(4, "little") + bytes(4)
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not strict JSON")
+
+
 def read_json_lines(path):
+    """The records in a JSON-lines file, read by a parser that rejects
+    NaN, Infinity and -Infinity."""
     with open(path) as fh:
-        return [json.loads(line) for line in fh if line.strip()]
+        return [json.loads(line, parse_constant=_reject_constant)
+                for line in fh if line.strip()]
 
 
 class TestGraphFiles:
@@ -244,7 +253,7 @@ class TestCliPipeline:
         embed = stats["embed"]
         assert embed["subspace_bound"] == (
             embed["worst_residual"] / (embed["lambda_next"] - embed["lambda_k"]))
-        assert stats["gap"] <= record["mvee_eps"]
+        assert stats["gap"] <= ellispec.mvee.EPS
         assert record["active_count"] >= 3 and record["elapsed_s"] > 0
 
     def test_sweep_past_the_old_mvee_budget_failure(self, tmp_path):
@@ -390,6 +399,78 @@ class TestCliPipeline:
         assert [r["delta"] for r in read_json_lines(out)] == [0.0, 0.2, 0.4, 0.6, 0.8, 1.0]
 
 
+def readme_key_table():
+    """{record: keys} from the table under "Record keys" in README.md."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = text.split("### Record keys", 1)[1].split("\n## ", 1)[0]
+    table = {}
+    for line in section.splitlines():
+        cells = line.split("|")
+        if len(cells) == 4 and cells[1].strip().startswith("`"):
+            table[cells[1].strip().strip("`")] = set(re.findall(r"`([^`]+)`", cells[2]))
+    return table
+
+
+@pytest.fixture(scope="module")
+def every_record(tmp_path_factory):
+    """One record of each kind, every optional input given, each read with
+    the strict parser."""
+    d = tmp_path_factory.mktemp("records")
+    g, truth, found, csv_path = d / "g.mtx", d / "t.txt", d / "f.txt", d / "v.csv"
+    csv_path.write_text("1,0\n0,1\n1,1\n2,0\n0,2\n")
+    runs = {
+        "synth": ["synth", "--sizes", "15x3", "--delta", "0.4", "--out", str(g),
+                  "--truth", str(truth)],
+        # a single truth cluster: c_min is infinite
+        "synth-one-cluster": ["synth", "--sizes", "6", "--delta", "0.5",
+                              "--out", str(d / "one.mtx")],
+        "knn-graph": ["knn-graph", "--data", str(csv_path), "--p", "2",
+                      "--out", str(d / "k.mtx")],
+        "cluster --algo elli": ["cluster", "--algo", "elli", "--graph", str(g),
+                                "--k", "3", "--truth", str(truth), "--out", str(found)],
+        "cluster --algo ksc": ["cluster", "--algo", "ksc", "--graph", str(g),
+                               "--k", "3", "--truth", str(truth), "--trials", "2"],
+        "eval": ["eval", "--labels", str(found), "--truth", str(truth),
+                 "--graph", str(g)],
+        "sweep": ["sweep", "--sizes", "15x3", "--deltas", "0.2", "--trials", "2"],
+    }
+    records = {}
+    for name, argv in runs.items():
+        out = d / f"{len(records)}.json"
+        assert main(argv + ["--json", str(out)]) == 0, name
+        records[name] = read_json_lines(out)
+    return records
+
+
+class TestRecords:
+    def test_single_cluster_c_min_is_null(self, every_record):
+        (record,) = every_record["synth-one-cluster"]
+        assert record["c_min"] is None and record["bound"] == 0.0
+
+    def test_strict_parser_rejects_non_finite(self, tmp_path):
+        path = tmp_path / "r.json"
+        path.write_text('{"c_min": Infinity}\n')
+        with pytest.raises(ValueError, match="Infinity is not strict JSON"):
+            read_json_lines(path)
+
+    def test_non_finite_value_is_not_written(self, tmp_path):
+        with pytest.raises(ValueError, match="Out of range float"):
+            cli._emit([{"x": float("nan")}], str(tmp_path / "r.json"))
+
+    def test_keys_match_the_readme_table(self, every_record):
+        table = readme_key_table()
+        for name in ["synth", "knn-graph", "cluster --algo elli",
+                     "cluster --algo ksc", "eval", "sweep"]:
+            for record in every_record[name]:
+                assert set(record) == table[name], name
+        assert set(every_record["synth-one-cluster"][0]) == table["synth"]
+        elli = every_record["cluster --algo elli"][0]
+        assert set(elli["stats"]) == table["stats"]
+        assert set(elli["stats"]["embed"]) == table["stats.embed"]
+        assert set(elli["timings"]) == table["timings"]
+        assert set(every_record["sweep"][0]["elli_stats"]) == table["stats"]
+
+
 class TestCliExitCodes:
     def test_missing_required_argument_is_usage(self, capsys, tmp_path):
         with pytest.raises(SystemExit) as err:
@@ -404,20 +485,15 @@ class TestCliExitCodes:
         assert main(["cluster", "--algo", "elli", "--graph", str(g),
                      "--k", "99", "--json", str(tmp_path / "c.json")]) == 2
 
-    @pytest.mark.parametrize("flag, value", [("--mvee-eps", "nan"),
-                                             ("--tau-active", "nan"),
-                                             ("--tau-active", "-0.001"),
-                                             ("--tau-active", "0")],
-                             ids=["--mvee-eps", "--tau-active", "--tau-active=-0.001",
-                                  "--tau-active=0"])
-    def test_non_finite_mvee_tolerance_is_usage(self, flag, value, tmp_path, capsys):
-        g = tmp_path / "g.mtx"
-        main(["synth", "--sizes", "8x2", "--delta", "0.2", "--out", str(g),
-              "--json", str(tmp_path / "s.json")])
-        assert main(["cluster", "--algo", "elli", "--graph", str(g),
-                     "--k", "2", flag, value,
-                     "--json", str(tmp_path / "c.json")]) == 2
-        assert "must be" in capsys.readouterr().err
+    @pytest.mark.parametrize("flag, value", [("--mvee-eps", "1e-7"),
+                                             ("--tau-active", "1e-5")])
+    def test_removed_mvee_tolerance_flag_is_usage(self, flag, value, capsys):
+        # the tolerances are the constants mvee.EPS and mvee.TAU_ACTIVE
+        with pytest.raises(SystemExit) as err:
+            main(["cluster", "--algo", "elli", "--graph", "g.mtx", "--k", "2",
+                  flag, value])
+        assert err.value.code == 2
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("algos", ["elli,kmeans", "", "ksc,"])
     def test_unknown_sweep_algo_is_usage(self, algos, monkeypatch, capsys):
