@@ -210,12 +210,7 @@ def _sweep_point(inst, algos, trials, seed):
 
 
 def _cmd_sweep(args):
-    if args.suite:
-        sizes = standard_suites()[args.suite]
-    elif args.sizes:
-        sizes = _parse_sizes(args.sizes)
-    else:
-        raise ValueError("sweep needs --suite or --sizes")
+    sizes = standard_suites()[args.suite] if args.suite else _parse_sizes(args.sizes)
     algos = args.algos.split(",")
     for algo in algos:
         if algo not in SWEEP_ALGOS:
@@ -289,8 +284,9 @@ def build_parser():
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("sweep", help="delta sweep over a synthetic suite")
-    p.add_argument("--suite", choices=sorted(standard_suites()))
-    p.add_argument("--sizes")
+    one = p.add_mutually_exclusive_group(required=True)
+    one.add_argument("--suite", choices=sorted(standard_suites()))
+    one.add_argument("--sizes")
     p.add_argument("--algos", default="elli,ksc",
                    help="comma-separated names from: elli, ksc")
     p.add_argument("--trials", type=int, default=100)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import re
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import scipy.io
@@ -24,41 +25,39 @@ __all__ = [
 def read_graph(path) -> WeightedGraph:
     """Read a symmetric coordinate real Matrix Market file as a graph.
 
-    Duplicate entries are summed (COO semantics).  ``array`` files and
-    ``pattern`` files (no weights) are rejected; ``general`` coordinate
-    files are read and must hold a symmetric matrix.  A file the Matrix
-    Market parser cannot read (no banner, a bad header, a missing line,
-    an index out of range) raises InvalidGraphError naming the path, and
-    so does a size line that is not square or has more rows than twice
-    its stored entries, since some node would then have no edge.  So does
-    a file that would crash SciPy 1.17's parser or that it would misread:
-    a NUL byte anywhere, an entry line that is not numbers and blanks (an
-    exponent cut short, a stray byte after a value), a last line without
-    a newline that is not a complete ``i j value`` entry, or an index too
-    large for its integer type.
-    """
-    _check_bytes(path)
+    Duplicate entries are summed (COO semantics).  ``array``, ``pattern``
+    (no weights) and ``complex`` files are rejected; ``general``
+    coordinate files are read and must hold a symmetric matrix.  A file
+    the Matrix Market parser cannot read (no banner, a bad header, a
+    missing line, an index out of range) raises InvalidGraphError naming
+    the path, and so does a size line that is not square or has more rows
+    than twice its stored entries, since some node would then have no
+    edge.  So does a file that SciPy 1.17's parser would crash on or
+    misread: a NUL byte anywhere, a line after the header that is neither
+    blank nor three numbers apart from blanks (an exponent cut short, a
+    stray byte, ``inf`` or ``nan``, a fourth number), a last line without
+    a newline that is not a whole ``i j value`` entry (a trailing blank
+    included), or an index too large for its integer type.  The file is
+    read once, a checked buffer of whole lines at a time."""
     try:
-        # mminfo takes the path: on an open file it aborts the interpreter
-        # (SciPy 1.17)
+        # mminfo takes the path and reads the header only: on an open file
+        # it aborts the interpreter (SciPy 1.17)
         rows, cols, entries, layout, field, symmetry = scipy.io.mminfo(path)
-        if layout != "coordinate" or field == "pattern":
+        if layout != "coordinate" or field in ("pattern", "complex"):
             raise InvalidGraphError(
-                f"{path}: unsupported Matrix Market header "
-                f"'{layout} {field} {symmetry}': a graph file must be "
-                f"coordinate with explicit weights"
-            )
+                f"{path}: unsupported Matrix Market header '{layout} {field} "
+                f"{symmetry}': a graph file must be coordinate with explicit "
+                "weights, which must be real")
         # checked before mmread, which allocates by the size line
         if rows != cols or rows > 2 * entries:
-            raise InvalidGraphError(
-                f"{path}: a {rows} x {cols} matrix with {entries} stored "
-                f"entries leaves some node without an edge"
-            )
+            raise InvalidGraphError(f"{path}: a {rows} x {cols} matrix with {entries} "
+                                    "stored entries leaves some node without an edge")
         with open(path, "rb") as fh:
-            mat = scipy.io.mmread(fh)
+            # mmread asks for 1024 bytes at a time but takes any length
+            chunks = _checked_chunks(fh, path)
+            mat = scipy.io.mmread(SimpleNamespace(read=lambda size=-1: next(chunks, b"")))
     except (ValueError, OverflowError) as exc:
-        raise InvalidGraphError(
-            f"{path}: malformed Matrix Market file: {exc}") from exc
+        raise _malformed(path, exc) from exc
     return WeightedGraph(mat)
 
 
@@ -67,11 +66,8 @@ def read_graph(path) -> WeightedGraph:
 # must match
 _SCAN_BYTES = 1 << 20
 _ENTRY = re.compile(rb"[ \t]*\d+[ \t]+\d+[ \t]+[-+]?(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?")
-# an entry line: numbers apart from blanks, inf and nan included
-_NUMBER = rb"[-+]?(?:(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|(?i:inf(?:inity)?|nan))"
-_NUMBERS = re.compile(rb"[ \t\r]*(?:%s(?:[ \t\r]+%s)*)?[ \t\r]*" % (_NUMBER, _NUMBER))
 
-# _plain_numbers reads each byte that is not a digit as one of these
+# _first_bad reads each byte that is not a digit as one of these
 _BLANK, _SIGN, _POINT, _EXP, _OTHER = range(5)
 _CLASS = np.full(256, _OTHER, dtype=np.int8)
 _CLASS[list(b" \t\r\n")] = _BLANK
@@ -96,76 +92,74 @@ def _malformed(path, what):
     return InvalidGraphError(f"{path}: malformed Matrix Market file: {what}")
 
 
-def _check_bytes(path):
-    """InvalidGraphError for the bytes that SciPy 1.17's Matrix Market
-    parser crashes on or misreads: a NUL byte; an entry line that is not
-    numbers apart from blanks (the parser reads the longest number at the
-    start of a field and drops the rest of its line, so ``1.0E`` reads as
-    1.0 and ``2.5\\xea`` as 2.5); a line longer than _SCAN_BYTES; or a
-    last line that has no newline and is not a whole entry (the parser
-    reads past its buffer).  The header, the lines up to the first that
-    does not start with ``%``, may hold anything.  Reads the file once, a
-    buffer at a time."""
+def _checked_chunks(fh, path):
+    """The open file ``fh``, a buffer of whole lines at a time, each yielded
+    once it holds none of the damage that read_graph lists (SciPy 1.17's
+    parser reads the longest number at the start of a field and drops the
+    rest of its line, so ``1.0E`` and ``1.0 7`` read as 1.0) and no line
+    longer than _SCAN_BYTES.  The header, the lines up to the first that
+    does not start with ``%``, is not checked."""
     offset = 0  # of the first byte not yet checked
     rest = b""  # the line that the last buffer cut short
     header = True
-    with open(path, "rb") as fh:
-        while chunk := fh.read(_SCAN_BYTES):
-            at = chunk.find(b"\0")
-            if at >= 0:
-                raise _malformed(path, f"NUL byte at offset {offset + len(rest) + at}")
-            data = rest + chunk
-            end = data.rfind(b"\n") + 1
-            start = 0
-            while header and start < end and data.startswith(b"%", start):
-                start = data.index(b"\n", start) + 1
-            header = header and start == end
-            if start < end and not _plain_numbers(data[start:end]):
-                _check_lines(path, data, start, end, offset)
-            offset += end
-            rest = data[end:]
-            if len(rest) > _SCAN_BYTES:
-                raise _malformed(path, f"the line at offset {offset} is longer "
-                                       f"than {_SCAN_BYTES} bytes")
+    while chunk := fh.read(_SCAN_BYTES):
+        at = chunk.find(b"\0")
+        if at >= 0:
+            raise _malformed(path, f"NUL byte at offset {offset + len(rest) + at}")
+        data = rest + chunk
+        end = data.rfind(b"\n") + 1
+        start = 0
+        while header and start < end and data.startswith(b"%", start):
+            start = data.index(b"\n", start) + 1
+        header = header and start == end
+        bad = _first_bad(memoryview(data)[start:end])
+        if bad >= 0:
+            first = data.rfind(b"\n", 0, start + bad) + 1
+            line = data[first:data.index(b"\n", start + bad)]
+            raise _malformed(path, f"the line {line[:40]!r} at offset {offset + first} "
+                                   "is not numbers and blanks, three to a line")
+        if end:
+            yield data[:end]
+        offset += end
+        rest = data[end:]
+        if len(rest) > _SCAN_BYTES:
+            raise _malformed(path, f"the line at offset {offset} is longer "
+                                   f"than {_SCAN_BYTES} bytes")
     if rest.strip() and not _ENTRY.fullmatch(rest):
         raise _malformed(path, f"the last line {rest[-40:]!r} has no newline "
                                f"and is not a whole entry")
+    yield rest
 
 
-def _check_lines(path, data, start, end, offset):
-    """InvalidGraphError naming the first line of data[start:end] that is
-    not numbers apart from blanks; the lines start at file offset
-    ``offset`` + ``start``."""
-    for line in data[start:end - 1].split(b"\n"):
-        if not _NUMBERS.fullmatch(line):
-            raise _malformed(path, f"the entry line {line[:40]!r} at offset "
-                                   f"{offset + start} is not numbers and blanks")
-        start += len(line) + 1
-
-
-def _plain_numbers(lines):
-    """Whether every line of ``lines`` (whole lines, the last ending in a
-    newline) is numbers of the form [-+]d[.d][(e|E)[-+]d] apart from
-    blanks, with digits d on at least one side of the point.  Looks only
-    at the bytes that are not digits, and at whether a digit precedes
-    each: one vectorized pass, where matching _NUMBERS takes about twenty
-    times longer.  inf and nan, which _NUMBERS accepts, fail it."""
+def _first_bad(lines):
+    """The offset of the first byte of ``lines`` (whole lines, the last
+    ending in a newline) whose line is neither blank nor three numbers of
+    the form [-+]d[.d][(e|E)[-+]d] apart from blanks, with digits d on at
+    least one side of the point; -1 if there is none.  Looks only at the
+    bytes that are not digits, and at whether a digit precedes each: one
+    vectorized pass.  inf and nan fail it."""
     b = np.frombuffer(lines, dtype=np.uint8)
     at = np.flatnonzero(b - np.uint8(48) > 9)
-    y = _CLASS.take(b.take(at))
+    c = b.take(at)
+    y = _CLASS.take(c)
     # at[0] - 1 may be -1, which wraps to the closing newline
     after_digit = b.take(at - 1) - np.uint8(48) <= 9
     x = np.roll(y, 1)
-    x[0] = _BLANK
+    x[:1] = _BLANK
     rule = _BETWEEN.take(5 * x + y)
     ok = ((rule == _ANY) | (rule == _NONE) & ~after_digit
           | (rule == _SOME) & after_digit
           | (rule == _BESIDE_POINT) & (after_digit | np.roll(after_digit, 1)))
     # only the sign that starts a number may precede its point or exponent
     before_x = np.roll(x, 1)
-    before_x[0] = _BLANK
-    return bool(ok.all()) and not ((x == _SIGN) & (y != _BLANK)
-                                   & (before_x != _BLANK)).any()
+    before_x[:1] = _BLANK
+    bad = ~ok | (x == _SIGN) & (y != _BLANK) & (before_x != _BLANK)
+    # a blank after a byte that is not one ends a number: three a line, or none
+    ends = np.cumsum((y == _BLANK) & (after_digit | (x != _BLANK)), dtype=np.int32)
+    newlines = np.flatnonzero(c == 10)
+    count = np.diff(ends.take(newlines), prepend=0)
+    bad[newlines] |= (count != 0) & (count != 3)
+    return int(at[bad.argmax()]) if bad.any() else -1
 
 
 def write_graph(graph: WeightedGraph, path):

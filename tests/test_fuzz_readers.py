@@ -2,6 +2,7 @@
 the CLI exits 5, and never anything else."""
 
 import json
+import re
 import subprocess
 import sys
 from contextlib import suppress
@@ -101,14 +102,30 @@ def test_damaged_labels_raise_only_invalid_partition(tmp_path, data):
         read_labels(path)
 
 
+# an entry line by the Matrix Market grammar: blank, or three numbers
+# apart from blanks
+NUMBER = rb"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?"
+ENTRY_LINE = re.compile(rb"[ \t\r]*(?:%s[ \t\r]+%s[ \t\r]+%s)?[ \t\r]*"
+                        % (NUMBER, NUMBER, NUMBER))
+# bytes strung from number pieces and blanks, alone or as the fields of a
+# line, mixed with whole numbers
+PIECES = st.lists(st.sampled_from([b"1", b"7", b"+", b"-", b".", b"e", b"E",
+                                   b" ", b"\t", b"\r"]), max_size=12).map(b"".join)
+FIELDS = st.lists(st.one_of(PIECES, st.from_regex(NUMBER, fullmatch=True)),
+                  min_size=1, max_size=5).map(b" ".join)
+
+
 @settings(max_examples=300, deadline=None)
-@given(st.lists(st.lists(st.sampled_from([b"1", b"7", b"+", b"-", b".", b"e", b"E",
-                                          b" ", b"\t", b"\r"]),
-                         max_size=12).map(b"".join),
-                min_size=1, max_size=4))
+@given(st.lists(st.one_of(PIECES, FIELDS), min_size=1, max_size=4))
 def test_vectorized_entry_check_matches_the_pattern(lines):
-    expected = all(ellispec.io._NUMBERS.fullmatch(line) for line in lines)
-    assert ellispec.io._plain_numbers(b"\n".join(lines) + b"\n") == expected
+    bad = ellispec.io._first_bad(b"\n".join(lines) + b"\n")
+    rejected = [i for i, line in enumerate(lines) if not ENTRY_LINE.fullmatch(line)]
+    assert (bad < 0) == (not rejected)
+    if rejected:
+        # the offset falls on the first line the pattern rejects, its
+        # newline included
+        start = sum(len(line) + 1 for line in lines[:rejected[0]])
+        assert start <= bad <= start + len(lines[rejected[0]])
 
 
 def fuzz_read_graph(workdir, cases):

@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 import os
 import re
@@ -129,6 +130,22 @@ class TestGraphFiles:
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             read_graph(tmp_path / "absent.mtx")
+
+    def test_file_read_once(self, tmp_path, monkeypatch):
+        path = tmp_path / "g.mtx"
+        write_graph(synth_adjacency([30, 40], 0.5, 2).graph, path)
+        read = []
+
+        class Counted(io.FileIO):
+            def read(self, size=-1):
+                data = super().read(size)
+                read.append(len(data))
+                return data
+
+        monkeypatch.setattr(ellispec.io, "open", lambda file, mode: Counted(file),
+                            raising=False)
+        read_graph(path)
+        assert sum(read) == path.stat().st_size
 
     @pytest.mark.parametrize("value", [b".5", b"5.", b"1e5", b"2.5E-1", b"1E+2",
                                        b"2.5\r", b"\t2.5 "])
@@ -528,14 +545,21 @@ class TestCliExitCodes:
         (["--sizes", "30,0"], "bad --sizes value: '30,0'"),
         (["--sizes", "30,10x-1"], "bad --sizes value: '30,10x-1'"),
         (["--sizes", "30,10x0"], "bad --sizes value: '30,10x0'"),
-        ([], "sweep needs --suite or --sizes"),
-    ], ids=["bad-size", "negative-count", "zero-count", "no-sizes"])
+        ([], "one of the arguments --suite --sizes is required"),
+        (["--suite", "balanced-desk", "--sizes", "5,5"],
+         "argument --sizes: not allowed with argument --suite"),
+    ], ids=["bad-size", "negative-count", "zero-count", "no-sizes", "suite-and-sizes"])
     def test_bad_sweep_sizes_are_usage(self, args, message, monkeypatch, capsys):
         def no_draw(*args, **kwargs):
             raise AssertionError("an instance was drawn")
 
         monkeypatch.setattr(cli, "delta_sweep", no_draw)
-        assert main(["sweep", "--deltas", "0.3", *args]) == 2
+        if args[:1] == ["--sizes"]:
+            assert main(["sweep", "--deltas", "0.3", *args]) == 2
+        else:  # rejected by argparse
+            with pytest.raises(SystemExit) as err:
+                main(["sweep", "--deltas", "0.3", *args])
+            assert err.value.code == 2
         assert f"error: {message}" in capsys.readouterr().err
 
     def test_huge_label_is_partition_error(self, tmp_path, capsys):
@@ -603,11 +627,14 @@ class TestCliExitCodes:
         b"2 1 1.0\xea",
         b"2 1 1.0\x00\n",
         b"99999999999999999999 1 1.0\n",
+        b"2 1 1.0 ", b"2 1 1.0\t",
     ], ids=["exponent-E", "exponent-e", "exponent-E+", "exponent-E-",
-            "exponent-1e", "stray-byte-at-end", "nul-byte", "huge-index"])
+            "exponent-1e", "stray-byte-at-end", "nul-byte", "huge-index",
+            "trailing-blank-at-end", "trailing-tab-at-end"])
     def test_files_that_crash_the_parser_exit_5(self, last, tmp_path):
         # in a child process: SciPy 1.17's mmread dies with SIGSEGV on the
-        # first three kinds and raises OverflowError on the last
+        # first three kinds and on a blank ending the last line, and raises
+        # OverflowError on the huge index
         path = tmp_path / "bad.mtx"
         path.write_bytes(b"%%MatrixMarket matrix coordinate real symmetric\n"
                          b"2 2 1\n" + last)
@@ -622,12 +649,14 @@ class TestCliExitCodes:
 
     @pytest.mark.parametrize("line", [
         b"2 1 1.0E", b"3 2 2.5\xea", b"2 1 1..0", b"2 1 1.5.", b"2 1 1e5.5",
-        b"2 1 0x1p3", b"2 1 1.0 x", b"2 1 1,5",
+        b"2 1 0x1p3", b"2 1 1.0 x", b"2 1 1,5", b"2 1 1.0 7", b"2 1 1. 7",
     ], ids=["exponent-cut-short", "stray-byte", "two-points", "trailing-point",
-            "point-in-exponent", "hex", "extra-field", "comma"])
+            "point-in-exponent", "hex", "extra-field", "comma", "fourth-number",
+            "blank-in-value"])
     def test_damaged_values_exit_5(self, line, tmp_path, capsys):
         # SciPy 1.17's mmread reads each of these newline-ended lines as the
-        # longest number at the start of the value, dropping the rest
+        # longest number at the start of the value, dropping the rest of the
+        # line, a fourth number included
         path = tmp_path / "bad.mtx"
         path.write_bytes(b"%%MatrixMarket matrix coordinate real symmetric\n"
                          b"3 3 2\n" + line + b"\n3 1 1.0\n")
@@ -652,8 +681,14 @@ class TestCliExitCodes:
                      "--k", "2"]) == 5
         assert f"{path}: {message}" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("weight", ["inf", "nan"])
-    def test_non_finite_weight_is_invalid_graph(self, weight, tmp_path, capsys):
+    @pytest.mark.parametrize("weight, message", [
+        ("inf", "the line b'2 1 inf' at offset 54 is not numbers and blanks"),
+        ("nan", "the line b'2 1 nan' at offset 54 is not numbers and blanks"),
+        # a value that overflows reaches the graph's check
+        ("1e999", "found inf"),
+    ], ids=["inf", "nan", "1e999"])
+    def test_non_finite_weight_is_invalid_graph(self, weight, message, tmp_path,
+                                                capsys):
         path = tmp_path / "nonfinite.mtx"
         path.write_text(
             "%%MatrixMarket matrix coordinate real symmetric\n"
@@ -664,7 +699,7 @@ class TestCliExitCodes:
         )
         assert main(["cluster", "--algo", "elli", "--graph", str(path),
                      "--k", "2"]) == 5
-        assert f"found {weight}" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
 
     def test_complex_weights_are_invalid_graph(self, tmp_path, capsys):
         path = tmp_path / "complex.mtx"
