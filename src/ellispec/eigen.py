@@ -9,6 +9,11 @@ is exactly symmetric (the graph checks it), so each product reads one
 triangle of it through the BLAS kernel ``dsymv``, with no copy; a CSR W
 is multiplied as stored.  Always retrieves k+1 eigenpairs so the next
 eigenvalue is available for diagnostics.
+
+A graph of several connected components is solved one component at a
+time: L is then block diagonal, so its spectrum is the union of the
+blocks' spectra and its null space holds one sqrt(d) vector per
+component.  The size threshold applies to each component.
 """
 
 from __future__ import annotations
@@ -26,9 +31,11 @@ from .graph import WeightedGraph, _components
 
 __all__ = ["Embedding", "bottom_k_eigs"]
 
-# Dense eigh up to this many nodes, ARPACK above.  Times on
-# synth_adjacency([n // k] * k, delta, 1), median of 5 solves, one OpenBLAS
-# thread on a 2-vCPU Xeon VM, ARPACK reading one triangle of W per
+# Dense eigh on a connected component of up to this many nodes, ARPACK on
+# a larger one; a disconnected graph is solved one component at a time,
+# so the cutoff applies to each component, not to the whole graph.  Times
+# on synth_adjacency([n // k] * k, delta, 1), median of 5 solves, one
+# OpenBLAS thread on a 2-vCPU Xeon VM, ARPACK reading one triangle of W per
 # product (dsymv).  eigh / ARPACK in ms, delta 0.3 then 1.0:
 #   n = 1000  k = 10: 120/67, 122/85    k = 20: 125/48, 117/57
 #   n = 1200  k = 10: 189/95, 196/85    k = 20: 193/70, 202/81
@@ -39,10 +46,10 @@ __all__ = ["Embedding", "bottom_k_eigs"]
 # from 0.085-0.094 to 0.038-0.040 s (seeds 1-2).  The cutoff stays at 1000
 # only because ARPACK can silently miss copies of a repeated eigenvalue
 # (the xfail torus and cycle cases in tests/test_eigen.py), and a lower
-# cutoff would expose graphs of n <= 1000 to that fault.  A guard that
-# deflates the k+1 pairs found and asks ARPACK for one more catches both
-# cases, but costs 58-85 % (tol 1e-4) to 130-190 % (tol 1e-10) of the
-# solve's matvecs on synthetic graphs of n = 1200-4000.
+# cutoff would expose components of n <= 1000 nodes to that fault.  A
+# guard that deflates the k+1 pairs found and asks ARPACK for one more
+# catches both cases, but costs 58-85 % (tol 1e-4) to 130-190 % (tol 1e-10)
+# of the solve's matvecs on synthetic graphs of n = 1200-4000.
 DENSE_THRESHOLD = 1000
 RESIDUAL_TOL = 1e-10
 KERNEL_SHIFT = 3.0  # moves the eigenvalue 1 of S to -2, below its spectrum [-1, 1]
@@ -54,8 +61,10 @@ class Embedding:
 
     Column ell holds the coordinates of node ell in R^k.  Rows are
     orthonormal; ``lambda_next`` is the (k+1)th smallest eigenvalue.
-    ``stats`` holds the solver's counters: ``method`` ("eigh" or
-    "arpack"), ``matvecs`` (ARPACK operator products, 0 for eigh),
+    ``stats`` holds the solver's counters: ``method`` ("arpack" when any
+    connected component went through ARPACK, else "eigh"), ``components``
+    (how many connected components were solved), ``matvecs`` (ARPACK
+    operator products summed over the components, 0 for eigh),
     ``worst_residual`` (largest ||L v - lambda v|| over the k pairs),
     ``lambda_k``, ``lambda_next`` and ``subspace_bound``: the eigengap
     bound worst_residual / (lambda_next - lambda_k) on how far the
@@ -146,11 +155,63 @@ def _arpack_eigs(w, dinv, kernel, k):
             np.hstack([z, vecs]), matvecs)
 
 
+def _solve(w, dinv, kernel, k):
+    """The k+1 smallest pairs of L on ``w`` as (eigenvalues in ascending
+    order, eigenvectors, matvecs): dense ``eigh`` on I - S, formed in place
+    in one n x n array that eigh may overwrite, up to DENSE_THRESHOLD
+    nodes, ARPACK above."""
+    n = dinv.size
+    if n <= DENSE_THRESHOLD:
+        s = (w if isinstance(w, np.ndarray) else w.toarray()) * dinv[:, None]
+        s *= -dinv[None, :]
+        s.flat[::n + 1] += 1.0
+        vals, vecs = scipy.linalg.eigh(s, subset_by_index=[0, k],
+                                       overwrite_a=True)
+        matvecs = 0
+    else:
+        vals, vecs, matvecs = _arpack_eigs(w, dinv, kernel, k)
+    order = np.argsort(vals)
+    return vals[order], vecs[:, order], matvecs
+
+
+def _by_component(w, dinv, kernel, k):
+    """``_solve`` for a graph of c > 1 connected components, one component
+    at a time.  The c exact null vectors come first, at eigenvalue 0; then
+    the k+1-c smallest nonzero eigenvalues over all components, ties going
+    to the lower component, each vector scattered into its component's
+    rows.  A component of n_i nodes is asked for its first
+    min(n_i - 1, k+1-c) nonzero pairs, with its one null vector deflated
+    when ARPACK solves it."""
+    c, comp, zv = kernel
+    n = dinv.size
+    want = k + 1 - c
+    parts = np.split(np.argsort(comp, kind="stable"),
+                     np.cumsum(np.bincount(comp, minlength=c))[:-1])
+    vals, vecs, matvecs = [], [], 0
+    for nodes in parts:
+        part_vals, part_vecs, count = _solve(
+            w[np.ix_(nodes, nodes)], dinv[nodes],
+            (1, np.zeros(nodes.size, dtype=np.intp), zv[nodes]),
+            min(nodes.size - 1, want))
+        vals.append(part_vals[1:])
+        vecs.append(part_vecs[:, 1:])
+        matvecs += count
+    best = sorted((val, i, j) for i, part_vals in enumerate(vals)
+                  for j, val in enumerate(part_vals))[:want]
+    x = np.zeros((n, k + 1))
+    x[np.arange(n), comp] = zv
+    for col, (_, i, j) in enumerate(best, start=c):
+        x[parts[i], col] = vecs[i][:, j]
+    return np.r_[np.zeros(c), [val for val, _, _ in best]], x, matvecs
+
+
 def bottom_k_eigs(graph: WeightedGraph, k: int) -> Embedding:
     """Compute the k smallest eigenpairs of the graph's normalized
     Laplacian plus the (k+1)th eigenvalue.
 
-    Dense ``eigh`` on graphs of at most DENSE_THRESHOLD nodes, ARPACK above.
+    Each connected component is solved on its own: dense ``eigh`` on one
+    of at most DENSE_THRESHOLD nodes, ARPACK on a larger one.  A connected
+    graph is solved whole, with no copy of W.
 
     Raises InvalidGraphError when the graph has more than k connected
     components: the eigenvalue 0 then has multiplicity above k.  Raises
@@ -171,20 +232,9 @@ def bottom_k_eigs(graph: WeightedGraph, k: int) -> Embedding:
         )
     w = graph.adjacency
     dinv = 1.0 / np.sqrt(graph.degrees)
-    if n <= DENSE_THRESHOLD:
-        # I - S formed in place in one n x n array, which eigh may overwrite
-        s = (w if isinstance(w, np.ndarray) else w.toarray()) * dinv[:, None]
-        s *= -dinv[None, :]
-        s.flat[::n + 1] += 1.0
-        vals, vecs = scipy.linalg.eigh(s, subset_by_index=[0, k],
-                                       overwrite_a=True)
-        method, matvecs = "eigh", 0
-    else:
-        vals, vecs, matvecs = _arpack_eigs(w, dinv, kernel, k)
-        method = "arpack"
-    order = np.argsort(vals)
-    vals = vals[order]
-    vecs = vecs[:, order]
+    solve = _solve if components == 1 else _by_component
+    vals, vecs, matvecs = solve(w, dinv, kernel, k)
+    method = "arpack" if matvecs else "eigh"
     P = vecs[:, :k].T.copy()
     worst = _validate(P, vals[:k], w, dinv)
     gap = float(vals[k] - vals[k - 1])
@@ -194,7 +244,8 @@ def bottom_k_eigs(graph: WeightedGraph, k: int) -> Embedding:
             f"eigengap lambda_{k + 1} - lambda_{k} = {gap:.3e} is within the "
             f"worst residual {worst:.3e} plus rounding {rounding:.1e}: the "
             f"bottom-{k} eigenspace is not determined", achieved=gap)
-    stats = {"method": method, "matvecs": matvecs, "worst_residual": worst,
+    stats = {"method": method, "components": components, "matvecs": matvecs,
+             "worst_residual": worst,
              "lambda_k": float(vals[k - 1]), "lambda_next": float(vals[k]),
              "subspace_bound": worst / gap}
     return Embedding(P=P, eigenvalues=vals[:k],

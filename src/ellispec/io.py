@@ -37,7 +37,9 @@ def read_graph(path) -> WeightedGraph:
     blank nor three numbers apart from blanks (an exponent cut short, a
     stray byte, ``inf`` or ``nan``, a fourth number), a last line without
     a newline that is not a whole ``i j value`` entry (a trailing blank
-    included), or an index too large for its integer type.  The file is
+    included), or an index too large for its integer type.  In an
+    ``integer`` file a value holding a point or an exponent is rejected
+    too: the parser would read ``1.5`` as 1 and ``2e3`` as 2.  The file is
     read once, a checked buffer of whole lines at a time."""
     try:
         # mminfo takes the path and reads the header only: on an open file
@@ -54,7 +56,7 @@ def read_graph(path) -> WeightedGraph:
                                     "stored entries leaves some node without an edge")
         with open(path, "rb") as fh:
             # mmread asks for 1024 bytes at a time but takes any length
-            chunks = _checked_chunks(fh, path)
+            chunks = _checked_chunks(fh, path, field.endswith("integer"))
             mat = scipy.io.mmread(SimpleNamespace(read=lambda size=-1: next(chunks, b"")))
     except (ValueError, OverflowError) as exc:
         raise _malformed(path, exc) from exc
@@ -62,10 +64,11 @@ def read_graph(path) -> WeightedGraph:
 
 
 # read_graph's byte checks: the buffer the file is read in, which is also
-# the longest line allowed, and the pattern a last line without a newline
-# must match
+# the longest line allowed, and the patterns a last line without a newline
+# must match in a real and in an integer file
 _SCAN_BYTES = 1 << 20
 _ENTRY = re.compile(rb"[ \t]*\d+[ \t]+\d+[ \t]+[-+]?(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?")
+_INTEGER_ENTRY = re.compile(rb"[ \t]*\d+[ \t]+\d+[ \t]+[-+]?\d+")
 
 # _first_bad reads each byte that is not a digit as one of these
 _BLANK, _SIGN, _POINT, _EXP, _OTHER = range(5)
@@ -92,13 +95,15 @@ def _malformed(path, what):
     return InvalidGraphError(f"{path}: malformed Matrix Market file: {what}")
 
 
-def _checked_chunks(fh, path):
+def _checked_chunks(fh, path, integer):
     """The open file ``fh``, a buffer of whole lines at a time, each yielded
     once it holds none of the damage that read_graph lists (SciPy 1.17's
     parser reads the longest number at the start of a field and drops the
     rest of its line, so ``1.0E`` and ``1.0 7`` read as 1.0) and no line
-    longer than _SCAN_BYTES.  The header, the lines up to the first that
-    does not start with ``%``, is not checked."""
+    longer than _SCAN_BYTES; with ``integer``, no point or exponent
+    either.  The header, the lines up to the first that does not start
+    with ``%``, is not checked."""
+    numbers = "integers" if integer else "numbers"
     offset = 0  # of the first byte not yet checked
     rest = b""  # the line that the last buffer cut short
     header = True
@@ -112,12 +117,12 @@ def _checked_chunks(fh, path):
         while header and start < end and data.startswith(b"%", start):
             start = data.index(b"\n", start) + 1
         header = header and start == end
-        bad = _first_bad(memoryview(data)[start:end])
+        bad = _first_bad(memoryview(data)[start:end], integer)
         if bad >= 0:
             first = data.rfind(b"\n", 0, start + bad) + 1
             line = data[first:data.index(b"\n", start + bad)]
             raise _malformed(path, f"the line {line[:40]!r} at offset {offset + first} "
-                                   "is not numbers and blanks, three to a line")
+                                   f"is not {numbers} and blanks, three to a line")
         if end:
             yield data[:end]
         offset += end
@@ -125,19 +130,20 @@ def _checked_chunks(fh, path):
         if len(rest) > _SCAN_BYTES:
             raise _malformed(path, f"the line at offset {offset} is longer "
                                    f"than {_SCAN_BYTES} bytes")
-    if rest.strip() and not _ENTRY.fullmatch(rest):
+    if rest.strip() and not (_INTEGER_ENTRY if integer else _ENTRY).fullmatch(rest):
         raise _malformed(path, f"the last line {rest[-40:]!r} has no newline "
                                f"and is not a whole entry")
     yield rest
 
 
-def _first_bad(lines):
+def _first_bad(lines, integer=False):
     """The offset of the first byte of ``lines`` (whole lines, the last
     ending in a newline) whose line is neither blank nor three numbers of
     the form [-+]d[.d][(e|E)[-+]d] apart from blanks, with digits d on at
-    least one side of the point; -1 if there is none.  Looks only at the
-    bytes that are not digits, and at whether a digit precedes each: one
-    vectorized pass.  inf and nan fail it."""
+    least one side of the point; -1 if there is none.  With ``integer``,
+    a point or an exponent is bad as well.  Looks only at the bytes that
+    are not digits, and at whether a digit precedes each: one vectorized
+    pass.  inf and nan fail it."""
     b = np.frombuffer(lines, dtype=np.uint8)
     at = np.flatnonzero(b - np.uint8(48) > 9)
     c = b.take(at)
@@ -154,6 +160,8 @@ def _first_bad(lines):
     before_x = np.roll(x, 1)
     before_x[:1] = _BLANK
     bad = ~ok | (x == _SIGN) & (y != _BLANK) & (before_x != _BLANK)
+    if integer:
+        bad |= (y == _POINT) | (y == _EXP)
     # a blank after a byte that is not one ends a number: three a line, or none
     ends = np.cumsum((y == _BLANK) & (after_digit | (x != _BLANK)), dtype=np.int32)
     newlines = np.flatnonzero(c == 10)

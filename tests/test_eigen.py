@@ -9,9 +9,11 @@ import scipy.sparse.linalg
 from ellispec import (
     ConvergenceError,
     InvalidGraphError,
+    VectorDataset,
     WeightedGraph,
     accuracy,
     bottom_k_eigs,
+    cosine_knn_graph,
     elli_cluster,
     synth_adjacency,
 )
@@ -19,7 +21,7 @@ import ellispec.eigen
 from ellispec.eigen import DENSE_THRESHOLD
 from ellispec.elli import graph_embedding
 
-from conftest import laplacian, random_graph
+from conftest import dense, laplacian, random_graph
 
 
 def test_two_node_path():
@@ -230,17 +232,116 @@ def test_arpack_failure_reports_converged_residual(rng, monkeypatch, converged):
 
 
 def test_arpack_on_disconnected_graph(monkeypatch):
-    # 20 components: the eigenvalue 0 has multiplicity 20, which a
-    # single-vector Krylov method cannot resolve without deflation
+    # 20 components of 110 nodes, each above a cutoff of 100 and so solved
+    # by ARPACK with its one null vector deflated; the default cutoff
+    # solves each by eigh
+    monkeypatch.setattr(ellispec.eigen, "DENSE_THRESHOLD", 100)
     inst = synth_adjacency([110] * 20, 0.0, 0)
     g = inst.graph
-    assert g.n > DENSE_THRESHOLD
     arpack = bottom_k_eigs(g, 20)
     dense = eigs_with_threshold(monkeypatch, g.n, g, 20)
-    assert np.all(np.abs(arpack.eigenvalues) < 1e-10)
+    assert arpack.stats["method"] == "arpack" and arpack.stats["components"] == 20
+    assert dense.stats["method"] == "eigh" and dense.stats["components"] == 20
+    assert np.all(arpack.eigenvalues == 0.0)
     assert abs(arpack.lambda_next - dense.lambda_next) < 1e-8
     assert accuracy(elli_cluster(inst.graph, 20).partition, inst.truth) == 1.0
 
+
+def disconnected_graph(rng, sizes, density):
+    """A random weighted graph with one connected component per size, its
+    nodes shuffled together."""
+    w = scipy.linalg.block_diag(*[dense(random_graph(rng, m, density).adjacency)
+                                  for m in sizes])
+    perm = rng.permutation(w.shape[0])
+    return WeightedGraph(w[np.ix_(perm, perm)])
+
+
+@pytest.mark.parametrize("threshold", [DENSE_THRESHOLD, 10, 1])
+@pytest.mark.parametrize("storage, sizes, density", [
+    ("dense", (40, 2), 0.9),
+    ("csr", (30, 20, 2, 2), 0.2),
+])
+def test_components_solved_apart_match_the_whole_matrix(
+        rng, monkeypatch, threshold, storage, sizes, density):
+    # each component of more than `threshold` nodes goes through ARPACK
+    monkeypatch.setattr(ellispec.eigen, "DENSE_THRESHOLD", threshold)
+    g = disconnected_graph(rng, sizes, density)
+    assert isinstance(g.adjacency, np.ndarray) == (storage == "dense")
+    c = len(sizes)
+    arpack = max(sizes) > threshold
+    for k in (c, c + 1, c + 3):
+        emb = bottom_k_eigs(g, k)
+        vals, vecs = scipy.linalg.eigh(laplacian(g), subset_by_index=[0, k])
+        np.testing.assert_allclose(np.r_[emb.eigenvalues, emb.lambda_next], vals,
+                                   rtol=0, atol=1e-8)
+        assert np.all(emb.eigenvalues[:c] == 0.0)
+        assert scipy.linalg.subspace_angles(emb.P.T, vecs[:, :k]).max() < 1e-6
+        s = emb.stats
+        assert s["components"] == c
+        assert s["method"] == ("arpack" if arpack else "eigh")
+        assert (s["matvecs"] > 0) == arpack
+        resid = laplacian(g) @ emb.P.T - emb.P.T * emb.eigenvalues[None, :]
+        assert s["worst_residual"] == pytest.approx(
+            np.linalg.norm(resid, axis=0).max(), rel=1e-3, abs=1e-14)
+        assert s["lambda_k"] == emb.eigenvalues[-1]
+        assert s["lambda_next"] == emb.lambda_next
+    with pytest.raises(InvalidGraphError, match=f"{c} connected components"):
+        bottom_k_eigs(g, c - 1)
+
+
+@pytest.mark.parametrize("threshold", [DENSE_THRESHOLD, 1])
+def test_k_splitting_twin_components_is_refused(monkeypatch, threshold):
+    # two copies of the path on 5 nodes: L has eigenvalues 0, 0, a, a, ...
+    # with a = lambda_2 of the path, so k = 3 takes one of the two a's
+    monkeypatch.setattr(ellispec.eigen, "DENSE_THRESHOLD", threshold)
+    path = np.diag(np.ones(4), 1) + np.diag(np.ones(4), -1)
+    g = WeightedGraph(scipy.linalg.block_diag(path, path))
+    with pytest.raises(ConvergenceError, match="bottom-3 eigenspace is not determined"):
+        bottom_k_eigs(g, 3)
+    assert bottom_k_eigs(g, 4).stats["components"] == 2
+
+
+def whole_graph_solve(g, k):
+    """(P, eigenvalues, lambda_next, matvecs) of the solve on all of W at
+    once: eigh on I - S up to DENSE_THRESHOLD nodes, ARPACK above."""
+    w, n = g.adjacency, g.n
+    dinv = 1.0 / np.sqrt(g.degrees)
+    if n <= DENSE_THRESHOLD:
+        s = (w if isinstance(w, np.ndarray) else w.toarray()) * dinv[:, None]
+        s *= -dinv[None, :]
+        s.flat[::n + 1] += 1.0
+        vals, vecs = scipy.linalg.eigh(s, subset_by_index=[0, k], overwrite_a=True)
+        matvecs = 0
+    else:
+        vals, vecs, matvecs = ellispec.eigen._arpack_eigs(
+            w, dinv, ellispec.eigen._kernel(g), k)
+    order = np.argsort(vals)
+    return vecs[:, order[:k]].T, vals[order[:k]], vals[order[k]], matvecs
+
+
+def knn_graph(rng, n, topics):
+    """A connected cosine 10-nearest-neighbour graph, stored CSR, of noisy
+    vectors drawn around ``topics`` random profiles."""
+    profiles = rng.exponential(size=(topics, 16))
+    X = profiles[rng.integers(topics, size=n)] + rng.exponential(size=(n, 16))
+    return cosine_knn_graph(VectorDataset(X), 10)
+
+
+@pytest.mark.parametrize("make, k", [
+    (lambda rng: synth_adjacency([200] * 15, 0.3, 0).graph, 15),
+    (lambda rng: knn_graph(rng, 2000, 10), 10),
+    (lambda rng: synth_adjacency([100] * 10, 1.0, 0).graph, 10),
+], ids=["dense-arpack", "csr-arpack", "dense-eigh"])
+def test_connected_graph_solved_whole(rng, make, k):
+    g = make(rng)
+    emb = bottom_k_eigs(g, k)
+    assert emb.stats["components"] == 1
+    P, vals, lambda_next, matvecs = whole_graph_solve(g, k)
+    assert np.array_equal(emb.P, P)
+    assert np.array_equal(emb.eigenvalues, vals)
+    assert emb.lambda_next == lambda_next
+    assert emb.stats["matvecs"] == matvecs
+    assert emb.stats["method"] == ("eigh" if g.n <= DENSE_THRESHOLD else "arpack")
 
 
 def cycle_adjacency(n):
@@ -266,6 +367,22 @@ def test_arpack_finds_every_copy_of_a_repeated_eigenvalue(w, k):
                               subset_by_index=[0, k])
     np.testing.assert_allclose(np.r_[emb.eigenvalues, emb.lambda_next], exact,
                                rtol=0, atol=1e-8)
+
+
+@pytest.mark.parametrize("size, k", [(600, 6), (600, 10), (700, 6)])
+def test_twin_cycles_against_the_dense_reference(size, k):
+    # two disjoint cycles of `size` nodes: solved as one graph of more than
+    # DENSE_THRESHOLD nodes, ARPACK missed copies of the cycles' doubled
+    # eigenvalues and was off by up to 1.2e-3; each cycle is solved alone
+    g = WeightedGraph(sp.block_diag([cycle_adjacency(size)] * 2, format="csr"))
+    assert g.n > DENSE_THRESHOLD
+    emb = bottom_k_eigs(g, k)
+    exact = scipy.linalg.eigh(laplacian(g), eigvals_only=True,
+                              subset_by_index=[0, k])
+    np.testing.assert_allclose(np.r_[emb.eigenvalues, emb.lambda_next], exact,
+                               rtol=0, atol=1e-8)
+    assert emb.stats["components"] == 2
+
 
 def test_arpack_embedding_peak_memory():
     # the solve reads W itself and holds no scaled n x n copy of it, which

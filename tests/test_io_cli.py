@@ -52,6 +52,19 @@ def read_json_lines(path):
                 for line in fh if line.strip()]
 
 
+def assert_cluster_exits_5_in_child(path):
+    """``cluster --graph path`` exits 5 as a malformed Matrix Market file, run
+    in a child process, so that a parser crash cannot take the suite down."""
+    src = Path(ellispec.io.__file__).parents[1]
+    child = subprocess.run(
+        [sys.executable, "-m", "ellispec.cli", "cluster", "--algo", "elli",
+         "--graph", str(path), "--k", "1"],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": str(src)})
+    assert child.returncode == 5, child.stderr
+    assert f"{path}: malformed Matrix Market file" in child.stderr
+
+
 class TestGraphFiles:
     def test_round_trip(self, rng, tmp_path):
         g = random_graph(rng, 15, density=0.3)
@@ -638,14 +651,7 @@ class TestCliExitCodes:
         path = tmp_path / "bad.mtx"
         path.write_bytes(b"%%MatrixMarket matrix coordinate real symmetric\n"
                          b"2 2 1\n" + last)
-        src = Path(ellispec.io.__file__).parents[1]
-        child = subprocess.run(
-            [sys.executable, "-m", "ellispec.cli", "cluster", "--algo", "elli",
-             "--graph", str(path), "--k", "1"],
-            capture_output=True, text=True, timeout=120,
-            env={**os.environ, "PYTHONPATH": str(src)})
-        assert child.returncode == 5, child.stderr
-        assert f"{path}: malformed Matrix Market file" in child.stderr
+        assert_cluster_exits_5_in_child(path)
 
     @pytest.mark.parametrize("line", [
         b"2 1 1.0E", b"3 2 2.5\xea", b"2 1 1..0", b"2 1 1.5.", b"2 1 1e5.5",
@@ -665,6 +671,25 @@ class TestCliExitCodes:
         assert main(["cluster", "--algo", "elli", "--graph", str(path),
                      "--k", "2"]) == 5
         assert f"{path}: malformed Matrix Market file" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("body", [
+        b"2 1 1.5\n3 1 2\n", b"2 1 1\n3 1 2e3\n", b"2 1 1\n3 1 2.",
+    ], ids=["point", "exponent", "point-in-last-line"])
+    def test_integer_file_with_a_point_or_exponent_exits_5(self, body, tmp_path):
+        # SciPy 1.17's mmread reads an integer value as the digits it starts
+        # with, so 1.5 would read as 1 and 2e3 as 2; it dies with SIGSEGV on
+        # a point in a last line without a newline
+        path = tmp_path / "bad.mtx"
+        path.write_bytes(b"%%MatrixMarket matrix coordinate integer symmetric\n"
+                         b"3 3 2\n" + body)
+        assert_cluster_exits_5_in_child(path)
+
+    def test_integer_file_reads_its_values(self, tmp_path):
+        path = tmp_path / "g.mtx"
+        path.write_bytes(b"%%MatrixMarket matrix coordinate integer symmetric\n"
+                         b"3 3 2\n2 1 3\n3 1 2")
+        w = read_graph(path).adjacency
+        assert w[1, 0] == 3.0 and w[2, 0] == 2.0
 
     @pytest.mark.parametrize("size, message", [
         ("3000000000 3000000000 1", "a 3000000000 x 3000000000 matrix with 1 "
