@@ -216,7 +216,8 @@ def _cmd_sweep(args):
         if algo not in SWEEP_ALGOS:
             raise ValueError(f"bad --algos value {algo!r}: each name must be "
                              f"one of {', '.join(SWEEP_ALGOS)}")
-    deltas = [float(v) for v in args.deltas.split(",")] if args.deltas else DEFAULT_DELTAS
+    deltas = (DEFAULT_DELTAS if args.deltas is None
+              else [float(v) for v in args.deltas.split(",")])
     # one point at a time, in order: BLAS already runs each point's products
     # on every core, and each instance, with its adjacency and embedding, is
     # dropped once its row exists, before the next W is built

@@ -1,19 +1,19 @@
 """Bottom-k eigenpairs of the normalized Laplacian (the embedding stage).
 
-The solvers read the graph's own adjacency W, dense or CSR, together
-with dinv = D^{-1/2}; no scaled copy of W is kept.  Up to a size
-threshold, dense symmetric ``eigh`` on L = I - D^{-1/2} W D^{-1/2},
-formed for that call only; above it, ARPACK on the products
-dinv * (W @ (dinv * x)), with the known null space deflated.  A dense W
-is exactly symmetric (the graph checks it), so each product reads one
-triangle of it through the BLAS kernel ``dsymv``, with no copy; a CSR W
-is multiplied as stored.  Always retrieves k+1 eigenpairs so the next
+L = I - D^{-1/2} W D^{-1/2} is block diagonal over the connected
+components, so its spectrum is the union of theirs, and each component
+adds one null pair: eigenvalue 0 and its sqrt(d) vector.  The solve is one
+loop over the components; a connected graph is the one-component case,
+solved on W itself with no copy.  Each component goes through dense
+symmetric ``eigh`` on its L, formed for that call only, up to a size
+threshold, and through ARPACK on the products dinv * (W @ (dinv * x))
+above it.  A dense W is exactly symmetric (the graph checks it), so each
+product reads one triangle of it through the BLAS kernel ``dsymv``, with
+no copy; a CSR W is multiplied as stored.  A component solved by ``eigh``
+keeps eigh's own null vector; one solved by ARPACK keeps the exact
+sqrt(d) vector deflated from its operator.  Every null eigenvalue is
+reported as exactly 0.0.  Always retrieves k+1 eigenpairs so the next
 eigenvalue is available for diagnostics.
-
-A graph of several connected components is solved one component at a
-time: L is then block diagonal, so its spectrum is the union of the
-blocks' spectra and its null space holds one sqrt(d) vector per
-component.  The size threshold applies to each component.
 """
 
 from __future__ import annotations
@@ -60,31 +60,25 @@ class Embedding:
     """k x n matrix whose rows are the bottom-k eigenvectors.
 
     Column ell holds the coordinates of node ell in R^k.  Rows are
-    orthonormal; ``lambda_next`` is the (k+1)th smallest eigenvalue.
-    ``stats`` holds the solver's counters: ``method`` ("arpack" when any
-    connected component went through ARPACK, else "eigh"), ``components``
-    (how many connected components were solved), ``matvecs`` (ARPACK
-    operator products summed over the components, 0 for eigh),
-    ``worst_residual`` (largest ||L v - lambda v|| over the k pairs),
-    ``lambda_k``, ``lambda_next`` and ``subspace_bound``: the eigengap
-    bound worst_residual / (lambda_next - lambda_k) on how far the
-    computed eigenspace may lie from the exact one (Davis-Kahan).
+    orthonormal; ``lambda_next`` is the (k+1)th smallest eigenvalue.  The
+    first c rows are the null vectors of the c connected components, one
+    per component and zero outside it, at eigenvalue exactly 0.0: eigh's
+    own null vector for a component solved by eigh, the exact unit sqrt(d)
+    vector for one solved by ARPACK.  ``stats`` holds the solver's
+    counters: ``method`` ("arpack" when any connected component went
+    through ARPACK, else "eigh"), ``components`` (how many connected
+    components were solved), ``matvecs`` (ARPACK operator products summed
+    over the components, 0 for eigh), ``worst_residual`` (largest
+    ||L v - lambda v|| over the k pairs), ``lambda_k``, ``lambda_next``
+    and ``subspace_bound``: the eigengap bound worst_residual /
+    (lambda_next - lambda_k) on how far the computed eigenspace may lie
+    from the exact one (Davis-Kahan).
     """
 
     P: np.ndarray
     eigenvalues: np.ndarray
     lambda_next: float
     stats: dict = field(default_factory=dict)
-
-
-def _kernel(graph):
-    """(c, comp, zv): the null space of L as c orthonormal vectors, one per
-    connected component.  Node ell lies in component ``comp[ell]``, and
-    ``zv[ell]`` is its one nonzero entry: sqrt(d) over the component's
-    norm."""
-    count, comp = _components(graph.adjacency)
-    norms = np.sqrt(np.bincount(comp, weights=graph.degrees, minlength=count))
-    return count, comp, np.sqrt(graph.degrees) / norms[comp]
 
 
 def _validate(P, vals, w, dinv, tol=1e-8):
@@ -105,20 +99,22 @@ def _validate(P, vals, w, dinv, tol=1e-8):
     return worst
 
 
-def _arpack_eigs(w, dinv, kernel, k):
-    """ARPACK on S = D^{-1/2} W D^{-1/2} = I - L for the k+1 smallest
-    pairs of L; returns (eigenvalues, eigenvectors, matvecs).
+def _arpack_eigs(w, d, m):
+    """ARPACK on S = D^{-1/2} W D^{-1/2} = I - L for the m+1 smallest
+    pairs of L on one connected component with adjacency ``w`` and degrees
+    ``d``; returns (eigenvalues in ascending order, eigenvectors, matvecs).
 
-    The null space of L is known: one vector per connected component (the
-    columns of ``z``).  A single-vector Krylov method cannot resolve that
-    multiple eigenvalue, so it is moved from 1 to 1 - KERNEL_SHIFT, below
-    the spectrum of S, and the null vectors are prepended to what ARPACK
-    finds.  ``kernel`` is ``_kernel``'s (c, comp, zv): each null vector
-    has one nonzero per node, so z (z^T x) is a per-component sum
-    scattered back.
+    The null pair of L is known exactly: eigenvalue 0 and the unit sqrt(d)
+    vector zv.  It is moved out of ARPACK's way, from 1 to 1 - KERNEL_SHIFT,
+    below the spectrum of S, and put first in the result as it is.
     """
-    c, comp, zv = kernel
-    n = dinv.size
+    n = d.size
+    root = np.sqrt(d)
+    dinv = 1.0 / root
+    # zv's norm and z^T x are summed one term at a time in node order: a
+    # BLAS dot sums in its own blocked order, whose rounding moves ARPACK's
+    # iterates (P by up to 2e-13 on kNN and synthetic graphs)
+    zv = root / np.sqrt(np.cumsum(d)[-1])
     # a dense W is symmetric: dsymv reads one triangle of it, through the
     # Fortran-ordered view w.T, so nothing is copied
     product = (partial(dsymv, 1.0, w.T) if isinstance(w, np.ndarray)
@@ -129,18 +125,18 @@ def _arpack_eigs(w, dinv, kernel, k):
         nonlocal matvecs
         matvecs += 1
         x = x.ravel()
-        proj = zv * np.bincount(comp, weights=zv * x, minlength=c)[comp]
+        proj = zv * np.cumsum(zv * x)[-1]
         return dinv * product(dinv * x) - KERNEL_SHIFT * proj
 
     op = scipy.sparse.linalg.LinearOperator((n, n), matvec=matvec,
                                             dtype=np.float64)
     v0 = np.random.default_rng(0x5EED).standard_normal(n)
     try:
-        theta, vecs = scipy.sparse.linalg.eigsh(op, k=k + 1 - c, which="LA",
+        theta, vecs = scipy.sparse.linalg.eigsh(op, k=m, which="LA",
                                                 v0=v0, tol=RESIDUAL_TOL)
     except scipy.sparse.linalg.ArpackNoConvergence as exc:
         done, found = len(exc.eigenvalues), exc.eigenvectors
-        message = (f"ARPACK converged {done} of {k + 1 - c} eigenpairs "
+        message = (f"ARPACK converged {done} of {m} eigenpairs "
                    f"within its iteration budget ({matvecs} matvecs)")
         worst = None
         if done:
@@ -149,69 +145,39 @@ def _arpack_eigs(w, dinv, kernel, k):
                                          axis=0).max())
             message += f"; worst residual of those: {worst:.3e}"
         raise ConvergenceError(message, achieved=worst) from exc
-    z = np.zeros((n, c))
-    z[np.arange(n), comp] = zv
-    return (np.concatenate([np.zeros(c), 1.0 - theta]),
-            np.hstack([z, vecs]), matvecs)
-
-
-def _solve(w, dinv, kernel, k):
-    """The k+1 smallest pairs of L on ``w`` as (eigenvalues in ascending
-    order, eigenvectors, matvecs): dense ``eigh`` on I - S, formed in place
-    in one n x n array that eigh may overwrite, up to DENSE_THRESHOLD
-    nodes, ARPACK above."""
-    n = dinv.size
-    if n <= DENSE_THRESHOLD:
-        s = (w if isinstance(w, np.ndarray) else w.toarray()) * dinv[:, None]
-        s *= -dinv[None, :]
-        s.flat[::n + 1] += 1.0
-        vals, vecs = scipy.linalg.eigh(s, subset_by_index=[0, k],
-                                       overwrite_a=True)
-        matvecs = 0
-    else:
-        vals, vecs, matvecs = _arpack_eigs(w, dinv, kernel, k)
+    vals = 1.0 - theta
     order = np.argsort(vals)
-    return vals[order], vecs[:, order], matvecs
+    return (np.r_[0.0, vals[order]], np.column_stack([zv, vecs[:, order]]),
+            matvecs)
 
 
-def _by_component(w, dinv, kernel, k):
-    """``_solve`` for a graph of c > 1 connected components, one component
-    at a time.  The c exact null vectors come first, at eigenvalue 0; then
-    the k+1-c smallest nonzero eigenvalues over all components, ties going
-    to the lower component, each vector scattered into its component's
-    rows.  A component of n_i nodes is asked for its first
-    min(n_i - 1, k+1-c) nonzero pairs, with its one null vector deflated
-    when ARPACK solves it."""
-    c, comp, zv = kernel
-    n = dinv.size
-    want = k + 1 - c
-    parts = np.split(np.argsort(comp, kind="stable"),
-                     np.cumsum(np.bincount(comp, minlength=c))[:-1])
-    vals, vecs, matvecs = [], [], 0
-    for nodes in parts:
-        part_vals, part_vecs, count = _solve(
-            w[np.ix_(nodes, nodes)], dinv[nodes],
-            (1, np.zeros(nodes.size, dtype=np.intp), zv[nodes]),
-            min(nodes.size - 1, want))
-        vals.append(part_vals[1:])
-        vecs.append(part_vecs[:, 1:])
-        matvecs += count
-    best = sorted((val, i, j) for i, part_vals in enumerate(vals)
-                  for j, val in enumerate(part_vals))[:want]
-    x = np.zeros((n, k + 1))
-    x[np.arange(n), comp] = zv
-    for col, (_, i, j) in enumerate(best, start=c):
-        x[parts[i], col] = vecs[i][:, j]
-    return np.r_[np.zeros(c), [val for val, _, _ in best]], x, matvecs
+def _solve(w, d, m):
+    """The m+1 smallest pairs of L on one connected component with
+    adjacency ``w`` and degrees ``d``, null pair first, as (eigenvalues in
+    ascending order, eigenvectors, matvecs).  Up to DENSE_THRESHOLD nodes,
+    dense ``eigh`` on I - S, formed in place in one array that eigh may
+    overwrite, whose pair 0 is kept as computed; ARPACK above."""
+    n = d.size
+    if n > DENSE_THRESHOLD:
+        return _arpack_eigs(w, d, m)
+    dinv = 1.0 / np.sqrt(d)
+    s = (w if isinstance(w, np.ndarray) else w.toarray()) * dinv[:, None]
+    s *= -dinv[None, :]
+    s.flat[::n + 1] += 1.0
+    vals, vecs = scipy.linalg.eigh(s, subset_by_index=[0, m], overwrite_a=True)
+    return vals, vecs, 0
 
 
 def bottom_k_eigs(graph: WeightedGraph, k: int) -> Embedding:
     """Compute the k smallest eigenpairs of the graph's normalized
     Laplacian plus the (k+1)th eigenvalue.
 
-    Each connected component is solved on its own: dense ``eigh`` on one
-    of at most DENSE_THRESHOLD nodes, ARPACK on a larger one.  A connected
-    graph is solved whole, with no copy of W.
+    One loop over the c connected components (see the module docstring).
+    A component of n_i nodes is asked for its null pair and its
+    min(n_i - 1, k+1-c) smallest nonzero pairs.  The c null pairs come
+    first, each at eigenvalue exactly 0; then the k+1-c smallest nonzero
+    eigenvalues over all components, ties going to the lower component,
+    each vector scattered into its component's rows.
 
     Raises InvalidGraphError when the graph has more than k connected
     components: the eigenvalue 0 then has multiplicity above k.  Raises
@@ -223,20 +189,30 @@ def bottom_k_eigs(graph: WeightedGraph, k: int) -> Embedding:
     n = graph.n
     if not 1 <= k < n:
         raise ValueError(f"need 1 <= k < n, got k={k}, n={n}")
-    kernel = _kernel(graph)
-    components = kernel[0]
+    components, comp = _components(graph.adjacency)
     if components > k:
         raise InvalidGraphError(
             f"graph has {components} connected components, more than k={k}: "
             f"its bottom-{k} eigenspace is not unique"
         )
-    w = graph.adjacency
-    dinv = 1.0 / np.sqrt(graph.degrees)
-    solve = _solve if components == 1 else _by_component
-    vals, vecs, matvecs = solve(w, dinv, kernel, k)
-    method = "arpack" if matvecs else "eigh"
-    P = vecs[:, :k].T.copy()
-    worst = _validate(P, vals[:k], w, dinv)
+    w, d = graph.adjacency, graph.degrees
+    want = k + 1 - components
+    parts = [np.flatnonzero(comp == i) for i in range(components)]
+    solved, matvecs = [], 0
+    for nodes in parts:
+        block = w if components == 1 else w[np.ix_(nodes, nodes)]
+        part_vals, part_vecs, count = _solve(block, d[nodes],
+                                             min(nodes.size - 1, want))
+        solved.append((part_vals, part_vecs))
+        matvecs += count
+    pairs = [(0.0, i, 0) for i in range(components)] + sorted(
+        (val, i, j) for i, (part_vals, _) in enumerate(solved)
+        for j, val in enumerate(part_vals[1:], start=1))[:want]
+    vals = np.array([val for val, _, _ in pairs])
+    P = np.zeros((k, n))
+    for row, (_, i, j) in enumerate(pairs[:k]):
+        P[row, parts[i]] = solved[i][1][:, j]
+    worst = _validate(P, vals[:k], w, 1.0 / np.sqrt(d))
     gap = float(vals[k] - vals[k - 1])
     rounding = 8 * n * np.finfo(float).eps * max(1.0, abs(float(vals[k])))
     if gap <= worst + rounding:
@@ -244,7 +220,8 @@ def bottom_k_eigs(graph: WeightedGraph, k: int) -> Embedding:
             f"eigengap lambda_{k + 1} - lambda_{k} = {gap:.3e} is within the "
             f"worst residual {worst:.3e} plus rounding {rounding:.1e}: the "
             f"bottom-{k} eigenspace is not determined", achieved=gap)
-    stats = {"method": method, "components": components, "matvecs": matvecs,
+    stats = {"method": "arpack" if matvecs else "eigh",
+             "components": components, "matvecs": matvecs,
              "worst_residual": worst,
              "lambda_k": float(vals[k - 1]), "lambda_next": float(vals[k]),
              "subspace_bound": worst / gap}

@@ -1,10 +1,12 @@
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg
+from scipy.linalg.blas import dsymv
 
 from ellispec import (
     ConvergenceError,
@@ -101,7 +103,8 @@ def test_arpack_matches_dense_on_dense_storage(rng, monkeypatch):
 
 def test_arpack_matches_dense_on_dense_storage_with_components(rng, monkeypatch):
     # full blocks of 60 and 10 nodes with random weights: 74 % nonzero, so
-    # held dense, and two null vectors for the operator to deflate
+    # held dense; with the cutoff at 1 both components go through ARPACK,
+    # each with its null vector deflated
     w = sp.block_diag([np.triu(rng.uniform(0.1, 1.0, (m, m)), 1)
                        for m in (60, 10)]).toarray()
     g = WeightedGraph(w + w.T)
@@ -301,9 +304,35 @@ def test_k_splitting_twin_components_is_refused(monkeypatch, threshold):
     assert bottom_k_eigs(g, 4).stats["components"] == 2
 
 
+@pytest.mark.parametrize("threshold", [DENSE_THRESHOLD, 1])
+def test_nearly_split_component_keeps_its_own_null_pair(monkeypatch, threshold):
+    # two components: two 4-node clusters joined by weights of 1e-12, whose
+    # lambda_2 is 2.08e-12, and a triangle.  eigh's lambda_2 vector of the
+    # first is orthogonal to eigh's own null vector, which differs from the
+    # exact sqrt(d) one by about eps / lambda_2 = 1e-4, so both must come
+    # from the same solve: the lambda_2 vector next to the exact null
+    # vector leaves rows of P that are not orthonormal
+    monkeypatch.setattr(ellispec.eigen, "DENSE_THRESHOLD", threshold)
+    a = np.array(synth_adjacency([4, 4], 1e-12, 0).graph.adjacency)
+    g = WeightedGraph(scipy.linalg.block_diag(a, np.ones((3, 3)) - np.eye(3)))
+    emb = bottom_k_eigs(g, 3)
+    vals, vecs = scipy.linalg.eigh(laplacian(g), subset_by_index=[0, 3])
+    assert emb.eigenvalues[0] == emb.eigenvalues[1] == 0.0
+    np.testing.assert_allclose(np.r_[emb.eigenvalues, emb.lambda_next], vals,
+                               rtol=0, atol=1e-14)
+    assert emb.eigenvalues[2] > 1e-12
+    assert np.abs(emb.P @ emb.P.T - np.eye(3)).max() < 1e-14
+    assert scipy.linalg.subspace_angles(emb.P.T, vecs[:, :3]).max() < 1e-10
+    assert emb.stats["worst_residual"] < 1e-14
+    assert emb.stats["components"] == 2
+    assert emb.stats["method"] == ("eigh" if threshold > 1 else "arpack")
+
+
 def whole_graph_solve(g, k):
     """(P, eigenvalues, lambda_next, matvecs) of the solve on all of W at
-    once: eigh on I - S up to DENSE_THRESHOLD nodes, ARPACK above."""
+    once: eigh on I - S up to DENSE_THRESHOLD nodes; above, ARPACK on S
+    with the unit sqrt(d) vector z moved to eigenvalue -2, and z put first
+    at eigenvalue 0."""
     w, n = g.adjacency, g.n
     dinv = 1.0 / np.sqrt(g.degrees)
     if n <= DENSE_THRESHOLD:
@@ -313,8 +342,24 @@ def whole_graph_solve(g, k):
         vals, vecs = scipy.linalg.eigh(s, subset_by_index=[0, k], overwrite_a=True)
         matvecs = 0
     else:
-        vals, vecs, matvecs = ellispec.eigen._arpack_eigs(
-            w, dinv, ellispec.eigen._kernel(g), k)
+        # both sums run one term at a time in node order, as in the solver
+        z = np.sqrt(g.degrees) / np.sqrt(np.cumsum(g.degrees)[-1])
+        product = (partial(dsymv, 1.0, w.T) if isinstance(w, np.ndarray)
+                   else w.__matmul__)
+        count = []
+
+        def matvec(x):
+            count.append(1)
+            x = x.ravel()
+            return dinv * product(dinv * x) - 3.0 * (z * np.cumsum(z * x)[-1])
+
+        op = scipy.sparse.linalg.LinearOperator((n, n), matvec=matvec,
+                                                dtype=np.float64)
+        theta, found = scipy.sparse.linalg.eigsh(
+            op, k=k, which="LA", tol=1e-10,
+            v0=np.random.default_rng(0x5EED).standard_normal(n))
+        vals, vecs = np.r_[0.0, 1.0 - theta], np.column_stack([z, found])
+        matvecs = len(count)
     order = np.argsort(vals)
     return vecs[:, order[:k]].T, vals[order[:k]], vals[order[k]], matvecs
 
@@ -338,7 +383,8 @@ def test_connected_graph_solved_whole(rng, make, k):
     assert emb.stats["components"] == 1
     P, vals, lambda_next, matvecs = whole_graph_solve(g, k)
     assert np.array_equal(emb.P, P)
-    assert np.array_equal(emb.eigenvalues, vals)
+    assert emb.eigenvalues[0] == 0.0
+    assert np.array_equal(emb.eigenvalues[1:], vals[1:])
     assert emb.lambda_next == lambda_next
     assert emb.stats["matvecs"] == matvecs
     assert emb.stats["method"] == ("eigh" if g.n <= DENSE_THRESHOLD else "arpack")

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -15,7 +16,6 @@ from ellispec import (
     synth_adjacency,
 )
 from ellispec import graph as graph_module
-from ellispec.eigen import _kernel
 
 from conftest import (brute_conductance, dense, laplacian, random_graph,
                       random_partition, reference_conductances)
@@ -167,7 +167,7 @@ def test_ndarray_and_csr_rejected_alike(case):
 
 class TestNormalizedLaplacian:
     """The normalized Laplacian L = I - D^{-1/2} W D^{-1/2} of a graph and
-    the null-space basis the embedding deflates."""
+    its null space, one sqrt(d) vector per connected component."""
 
     def test_two_node_path(self):
         assert np.allclose(laplacian(path2()), [[1.0, -1.0], [-1.0, 1.0]])
@@ -177,9 +177,12 @@ class TestNormalizedLaplacian:
             g = random_graph(rng, n)
             v = np.sqrt(g.degrees)
             assert np.linalg.norm(laplacian(g) @ v) <= 1e-10 * np.linalg.norm(v)
-            count, comp, zv = _kernel(g)
+            count, comp = graph_module._components(g.adjacency)
             assert count == 1 and not comp.any()
-            np.testing.assert_allclose(zv, v / np.linalg.norm(v),
+            emb = bottom_k_eigs(g, 1)
+            assert emb.stats["components"] == 1 and emb.eigenvalues[0] == 0.0
+            p = emb.P[0] * np.sign(emb.P[0].sum())
+            np.testing.assert_allclose(p, v / np.linalg.norm(v),
                                        rtol=0, atol=1e-14)
 
     def test_disjoint_cliques_null_space(self, rng):
@@ -189,16 +192,22 @@ class TestNormalizedLaplacian:
         g = WeightedGraph(w)
         vals = np.linalg.eigvalsh(laplacian(g))
         assert np.sum(np.abs(vals) < 1e-10) == k
-        count, comp, zv = _kernel(g)
+        count, comp = graph_module._components(g.adjacency)
         assert count == k
         assert np.array_equal(comp, np.repeat(np.arange(k), size))
-        np.testing.assert_allclose(zv, 1 / np.sqrt(size), rtol=1e-15)
+        emb = bottom_k_eigs(g, k)
+        assert emb.stats["components"] == k
+        assert np.all(emb.eigenvalues == 0.0)
+        # one sqrt(d) vector per clique: 1 / sqrt(size) on its nodes
+        z = np.repeat(np.eye(k), size, axis=0) / np.sqrt(size)
+        assert scipy.linalg.subspace_angles(emb.P.T, z).max() < 1e-14
 
     def test_two_dense_components(self):
         # two complete blocks with self-loops fill exactly half the entries
         g = WeightedGraph(sp.block_diag([np.ones((4, 4))] * 2).toarray())
         assert isinstance(g.adjacency, np.ndarray)
-        assert _kernel(g)[0] == 2
+        assert graph_module._components(g.adjacency)[0] == 2
+        assert bottom_k_eigs(g, 2).stats["components"] == 2
         with pytest.raises(InvalidGraphError, match="2 connected components"):
             bottom_k_eigs(g, 1)
 

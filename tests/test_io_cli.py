@@ -561,7 +561,10 @@ class TestCliExitCodes:
         ([], "one of the arguments --suite --sizes is required"),
         (["--suite", "balanced-desk", "--sizes", "5,5"],
          "argument --sizes: not allowed with argument --suite"),
-    ], ids=["bad-size", "negative-count", "zero-count", "no-sizes", "suite-and-sizes"])
+        # an empty value is not the default grid
+        (["--sizes", "5,5", "--deltas", ""], "could not convert string to float: ''"),
+    ], ids=["bad-size", "negative-count", "zero-count", "no-sizes", "suite-and-sizes",
+            "empty-deltas"])
     def test_bad_sweep_sizes_are_usage(self, args, message, monkeypatch, capsys):
         def no_draw(*args, **kwargs):
             raise AssertionError("an instance was drawn")
