@@ -216,8 +216,11 @@ def _cmd_sweep(args):
         if algo not in SWEEP_ALGOS:
             raise ValueError(f"bad --algos value {algo!r}: each name must be "
                              f"one of {', '.join(SWEEP_ALGOS)}")
-    deltas = (DEFAULT_DELTAS if args.deltas is None
-              else [float(v) for v in args.deltas.split(",")])
+    try:
+        deltas = (DEFAULT_DELTAS if args.deltas is None
+                  else [float(v) for v in args.deltas.split(",")])
+    except ValueError:
+        raise ValueError(f"bad --deltas value: {args.deltas!r}") from None
     # one point at a time, in order: BLAS already runs each point's products
     # on every core, and each instance, with its adjacency and embedding, is
     # dropped once its row exists, before the next W is built

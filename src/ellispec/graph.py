@@ -41,15 +41,16 @@ class WeightedGraph:
     ``adjacency`` is the symmetric adjacency matrix (both triangles): a
     read-only float64 ndarray when at least DENSE_STORAGE_DENSITY of its
     entries are nonzero, whatever the input (ndarray, CSR or any SciPy
-    sparse format), and CSR otherwise.  A sparse input storing at least
-    that share of entries is made dense before it is checked, so it is
-    never copied to CSR on the way.  ``degrees`` holds
-    d_i = sum_j w(i, j).  Self-loops are allowed and count toward the
-    degree but never toward any cut.  Every node must have positive
-    degree.  A dense ndarray is copied unless ``copy=False``, which hands
-    the array over: it is then made read-only and must not be written by
-    the caller.  Instances are immutable after construction; they keep
-    the spectral embeddings solved for them (``elli.graph_embedding``).
+    sparse format), and CSR otherwise.  A sparse input storing at least that
+    share of entries is made dense before it is checked, so it is never
+    copied to CSR on the way.  ``degrees`` holds d_i = sum_j w(i, j).
+    Self-loops are allowed and count toward the degree but never toward any
+    cut.  Every node must have positive degree.  A dense ndarray is copied
+    unless ``copy=False``, which hands the array over: it is then made
+    read-only and must not be written by the caller.  Sparse input is always
+    copied, like dense input, and the CSR arrays are read-only.  Instances
+    are immutable after construction; they keep the spectral embeddings
+    solved for them (``elli.graph_embedding``).
     """
 
     def __init__(self, adjacency, copy=True):
@@ -101,7 +102,8 @@ def _bad_weight(values):
 
 
 def _checked_csr(adjacency):
-    a = sp.csr_matrix(adjacency)
+    # a copy: a CSR input would otherwise share its arrays with the caller
+    a = sp.csr_matrix(adjacency, copy=True)
     _real(a.data)
     a = a.astype(np.float64, copy=False)
     a.sum_duplicates()
@@ -113,6 +115,8 @@ def _checked_csr(adjacency):
         raise _bad_weight(a.data)
     if (a != a.T).nnz != 0:
         raise InvalidGraphError("adjacency matrix must be symmetric")
+    for array in (a.data, a.indices, a.indptr):
+        array.flags.writeable = False
     return a
 
 

@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
-import re
 import warnings
+from functools import partial
+from itertools import chain
 from types import SimpleNamespace
 
 import numpy as np
@@ -35,12 +36,11 @@ def read_graph(path) -> WeightedGraph:
     edge.  So does a file that SciPy 1.17's parser would crash on or
     misread: a NUL byte anywhere, a line after the header that is neither
     blank nor three numbers apart from blanks (an exponent cut short, a
-    stray byte, ``inf`` or ``nan``, a fourth number), a last line without
-    a newline that is not a whole ``i j value`` entry (a trailing blank
-    included), or an index too large for its integer type.  In an
-    ``integer`` file a value holding a point or an exponent is rejected
-    too: the parser would read ``1.5`` as 1 and ``2e3`` as 2.  The file is
-    read once, a checked buffer of whole lines at a time."""
+    stray byte, ``inf`` or ``nan``, a fourth number), or an index too
+    large for its integer type.  In an ``integer`` file a value holding a
+    point or an exponent is rejected too: the parser would read ``1.5`` as
+    1 and ``2e3`` as 2.  A last line without a newline is checked like any
+    other.  The file is read once, a checked buffer of whole lines at a time."""
     try:
         # mminfo takes the path and reads the header only: on an open file
         # it aborts the interpreter (SciPy 1.17)
@@ -63,12 +63,8 @@ def read_graph(path) -> WeightedGraph:
     return WeightedGraph(mat)
 
 
-# read_graph's byte checks: the buffer the file is read in, which is also
-# the longest line allowed, and the patterns a last line without a newline
-# must match in a real and in an integer file
+# read_graph's read buffer, which is also the longest line it allows
 _SCAN_BYTES = 1 << 20
-_ENTRY = re.compile(rb"[ \t]*\d+[ \t]+\d+[ \t]+[-+]?(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?")
-_INTEGER_ENTRY = re.compile(rb"[ \t]*\d+[ \t]+\d+[ \t]+[-+]?\d+")
 
 # _first_bad reads each byte that is not a digit as one of these
 _BLANK, _SIGN, _POINT, _EXP, _OTHER = range(5)
@@ -97,17 +93,17 @@ def _malformed(path, what):
 
 def _checked_chunks(fh, path, integer):
     """The open file ``fh``, a buffer of whole lines at a time, each yielded
-    once it holds none of the damage that read_graph lists (SciPy 1.17's
-    parser reads the longest number at the start of a field and drops the
-    rest of its line, so ``1.0E`` and ``1.0 7`` read as 1.0) and no line
-    longer than _SCAN_BYTES; with ``integer``, no point or exponent
-    either.  The header, the lines up to the first that does not start
-    with ``%``, is not checked."""
+    once it holds none of the damage that read_graph lists (SciPy 1.17's parser
+    reads the longest number at the start of a field and drops the rest of its
+    line, so ``1.0E`` and ``1.0 7`` read as 1.0) and no line longer than
+    _SCAN_BYTES; with ``integer``, no point or exponent either.  The header,
+    the lines up to the first that does not start with ``%``, is not checked.
+    A newline follows the last buffer, as the parser may crash without it."""
     numbers = "integers" if integer else "numbers"
     offset = 0  # of the first byte not yet checked
     rest = b""  # the line that the last buffer cut short
     header = True
-    while chunk := fh.read(_SCAN_BYTES):
+    for chunk in chain(iter(partial(fh.read, _SCAN_BYTES), b""), [b"\n"]):
         at = chunk.find(b"\0")
         if at >= 0:
             raise _malformed(path, f"NUL byte at offset {offset + len(rest) + at}")
@@ -130,10 +126,6 @@ def _checked_chunks(fh, path, integer):
         if len(rest) > _SCAN_BYTES:
             raise _malformed(path, f"the line at offset {offset} is longer "
                                    f"than {_SCAN_BYTES} bytes")
-    if rest.strip() and not (_INTEGER_ENTRY if integer else _ENTRY).fullmatch(rest):
-        raise _malformed(path, f"the last line {rest[-40:]!r} has no newline "
-                               f"and is not a whole entry")
-    yield rest
 
 
 def _first_bad(lines, integer=False):

@@ -115,6 +115,20 @@ class TestWeightedGraph:
         assert g.adjacency.nnz == 3
         np.testing.assert_array_equal(g.adjacency.toarray(), w)
 
+    def test_csr_input_copied_and_read_only(self):
+        n = 40
+        i = np.arange(n)
+        a = sp.csr_matrix((np.ones(2 * n), (np.r_[i, (i + 1) % n], np.r_[(i + 1) % n, i])),
+                          shape=(n, n))
+        g = WeightedGraph(a)
+        before = g.adjacency.toarray()
+        a.data[:] = 5.0  # the caller edits its own matrix
+        assert np.array_equal(g.adjacency.toarray(), before)
+        assert np.array_equal(g.degrees, np.full(n, 2.0))
+        for array in (g.adjacency.data, g.adjacency.indices, g.adjacency.indptr):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0
+
     def test_dense_array_handed_over_without_copy(self):
         w = np.ones((3, 3))
         g = WeightedGraph(w, copy=False)
@@ -141,6 +155,16 @@ def _isolated_fourth_node():
     return m
 
 
+def _ring_with(value, n=20):
+    """An n-node ring with the weight of edge (0, 1) set to value: stored
+    sparse, so the weight check is made on the CSR copy's entries."""
+    m = np.zeros((n, n))
+    i = np.arange(n)
+    m[i, (i + 1) % n] = m[(i + 1) % n, i] = 1.0
+    m[0, 1] = m[1, 0] = value
+    return m
+
+
 REJECTED = {
     "nan": (_full_with({(0, 2): np.nan, (2, 0): np.nan}), "finite.*found nan"),
     "inf": (_full_with({(0, 2): np.inf, (2, 0): np.inf}), "finite.*found inf"),
@@ -151,12 +175,18 @@ REJECTED = {
     "asymmetric": (_full_with({(0, 1): 2.0}), "must be symmetric"),
     "non-square": (np.ones((2, 3)), "must be square"),
     "zero-degree": (_isolated_fourth_node(), "node 3 has zero degree"),
+    "nan-sparse": (_ring_with(np.nan), "finite.*found nan"),
+    "inf-sparse": (_ring_with(np.inf), "finite.*found inf"),
+    "-inf-sparse": (_ring_with(-np.inf), "finite.*found -inf"),
+    "negative-sparse": (_ring_with(-1.0), "finite.*found -1.0"),
 }
 
 
 @pytest.mark.parametrize("case", list(REJECTED))
 def test_ndarray_and_csr_rejected_alike(case):
     m, match = REJECTED[case]
+    if case.endswith("-sparse"):
+        assert np.count_nonzero(m) < graph_module.DENSE_STORAGE_DENSITY * m.size
     messages = []
     for adjacency in (m, sp.csr_matrix(m)):
         with pytest.raises(InvalidGraphError, match=match) as info:

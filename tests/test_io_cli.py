@@ -183,6 +183,43 @@ class TestGraphFiles:
             with pytest.raises(InvalidGraphError, match="is not numbers and blanks"):
                 read_graph(path)
 
+    def test_line_longer_than_the_read_buffer(self, tmp_path, monkeypatch):
+        # a line as long as the buffer reads; one that spans three buffers is
+        # rejected before the next buffer is read
+        monkeypatch.setattr(ellispec.io, "_SCAN_BYTES", 64)
+        head = b"%%MatrixMarket matrix coordinate real symmetric\n3 3 2\n3 2 1.0\n"
+        path = tmp_path / "g.mtx"
+        for end in (b"\n", b""):
+            path.write_bytes(head + b"3 1 2.0".rjust(64) + end)
+            assert read_graph(path).adjacency[2, 0] == 2.0
+            path.write_bytes(head + b"3 1 2.0".rjust(3 * 64) + end)
+            with pytest.raises(InvalidGraphError, match=f"the line at offset {len(head)} "
+                                                        "is longer than 64 bytes"):
+                read_graph(path)
+
+    @pytest.mark.parametrize("field, last, reads", [
+        (b"real", b"3 1 2.0", True), (b"real", b"3 1 2.0 ", True),
+        (b"real", b"3 1 2.0\t", True), (b"real", b"3 1 2.0\r", True),
+        (b"real", b"2 1 1.0E", False), (b"real", b"2 1 1.0\xea", False),
+        (b"integer", b"3 1 2.", False),
+    ], ids=["entry", "trailing-blank", "trailing-tab", "trailing-cr",
+            "exponent-cut-short", "stray-byte", "point-in-integer"])
+    def test_last_line_reads_alike_with_or_without_newline(self, field, last, reads,
+                                                            tmp_path):
+        # one grammar for every line: a last line reads as it would with a
+        # newline, or exits 5 either way; a rejected file is read in a child
+        # process, since SciPy 1.17's mmread dies with SIGSEGV on some
+        # unterminated last lines
+        path = tmp_path / "g.mtx"
+        for end in (b"", b"\n"):
+            path.write_bytes(b"%%MatrixMarket matrix coordinate " + field
+                             + b" symmetric\n3 3 2\n3 2 1\n" + last + end)
+            if reads:
+                assert np.array_equal(dense(read_graph(path).adjacency),
+                                      [[0, 0, 2], [0, 0, 1], [2, 1, 0]])
+            else:
+                assert_cluster_exits_5_in_child(path)
+
 
 class TestLabelFiles:
     def test_round_trip(self, tmp_path):
@@ -562,9 +599,12 @@ class TestCliExitCodes:
         (["--suite", "balanced-desk", "--sizes", "5,5"],
          "argument --sizes: not allowed with argument --suite"),
         # an empty value is not the default grid
-        (["--sizes", "5,5", "--deltas", ""], "could not convert string to float: ''"),
+        (["--sizes", "5,5", "--deltas", ""], "bad --deltas value: ''"),
+        (["--sizes", "5,5", "--deltas", " "], "bad --deltas value: ' '"),
+        (["--sizes", "5,5", "--deltas", "0,,1"], "bad --deltas value: '0,,1'"),
+        (["--sizes", "5,5", "--deltas", "0.5,abc"], "bad --deltas value: '0.5,abc'"),
     ], ids=["bad-size", "negative-count", "zero-count", "no-sizes", "suite-and-sizes",
-            "empty-deltas"])
+            "empty-deltas", "blank-deltas", "empty-delta-term", "non-number-delta"])
     def test_bad_sweep_sizes_are_usage(self, args, message, monkeypatch, capsys):
         def no_draw(*args, **kwargs):
             raise AssertionError("an instance was drawn")
@@ -643,14 +683,11 @@ class TestCliExitCodes:
         b"2 1 1.0\xea",
         b"2 1 1.0\x00\n",
         b"99999999999999999999 1 1.0\n",
-        b"2 1 1.0 ", b"2 1 1.0\t",
     ], ids=["exponent-E", "exponent-e", "exponent-E+", "exponent-E-",
-            "exponent-1e", "stray-byte-at-end", "nul-byte", "huge-index",
-            "trailing-blank-at-end", "trailing-tab-at-end"])
+            "exponent-1e", "stray-byte-at-end", "nul-byte", "huge-index"])
     def test_files_that_crash_the_parser_exit_5(self, last, tmp_path):
         # in a child process: SciPy 1.17's mmread dies with SIGSEGV on the
-        # first three kinds and on a blank ending the last line, and raises
-        # OverflowError on the huge index
+        # first three kinds and raises OverflowError on the huge index
         path = tmp_path / "bad.mtx"
         path.write_bytes(b"%%MatrixMarket matrix coordinate real symmetric\n"
                          b"2 2 1\n" + last)
