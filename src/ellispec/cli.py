@@ -42,11 +42,16 @@ SWEEP_ALGOS = ("elli", "ksc")
 
 def _parse_sizes(text):
     """'100x10' -> ten clusters of 100 nodes; terms separated by commas.
-    A size or a count below 1 is rejected."""
+    A term that is not an integer, or whose size or count is below 1, is
+    rejected."""
+    bad = ValueError(f"bad --sizes value: {text!r}")
     terms = [term.split("x") if "x" in term else (term, 1) for term in text.split(",")]
-    terms = [(int(size), int(count)) for size, count in terms]
+    try:
+        terms = [(int(size), int(count)) for size, count in terms]
+    except ValueError:
+        raise bad from None
     if any(size < 1 or count < 1 for size, count in terms):
-        raise ValueError(f"bad --sizes value: {text!r}")
+        raise bad
     return [size for size, count in terms for _ in range(count)]
 
 

@@ -43,12 +43,13 @@ class WeightedGraph:
     entries are nonzero, whatever the input (ndarray, CSR or any SciPy
     sparse format), and CSR otherwise.  A sparse input storing at least that
     share of entries is made dense before it is checked, so it is never
-    copied to CSR on the way.  ``degrees`` holds d_i = sum_j w(i, j).
-    Self-loops are allowed and count toward the degree but never toward any
-    cut.  Every node must have positive degree.  A dense ndarray is copied
-    unless ``copy=False``, which hands the array over: it is then made
-    read-only and must not be written by the caller.  Sparse input is always
-    copied, like dense input, and the CSR arrays are read-only.  Instances
+    copied to CSR on the way.  ``degrees`` holds d_i = sum_j w(i, j), in a
+    read-only array too.  Self-loops are allowed and count toward the degree
+    but never toward any cut.  Every node must have positive degree.  A
+    dense ndarray is copied unless ``copy=False``, which hands the array
+    over: it is then made read-only and must not be written by the caller.
+    Sparse input is always copied, like dense input, and the CSR arrays are
+    read-only.  Instances
     are immutable after construction; they keep the spectral embeddings
     solved for them (``elli.graph_embedding``).
     """
@@ -71,6 +72,7 @@ class WeightedGraph:
         if a.shape[0] and degrees.min() <= 0.0:
             node = int(np.argmin(degrees))
             raise InvalidGraphError(f"node {node} has zero degree")
+        degrees.flags.writeable = False
         self._adj = a
         self._degrees = degrees
         self._embeddings = {}  # k -> Embedding

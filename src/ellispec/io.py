@@ -108,6 +108,11 @@ def _checked_chunks(fh, path, integer):
         if at >= 0:
             raise _malformed(path, f"NUL byte at offset {offset + len(rest) + at}")
         data = rest + chunk
+        # only the first line can have begun in an earlier buffer
+        first = data.find(b"\n")
+        if (first if first >= 0 else len(data)) > _SCAN_BYTES:
+            raise _malformed(path, f"the line at offset {offset} is longer "
+                                   f"than {_SCAN_BYTES} bytes")
         end = data.rfind(b"\n") + 1
         start = 0
         while header and start < end and data.startswith(b"%", start):
@@ -123,9 +128,6 @@ def _checked_chunks(fh, path, integer):
             yield data[:end]
         offset += end
         rest = data[end:]
-        if len(rest) > _SCAN_BYTES:
-            raise _malformed(path, f"the line at offset {offset} is longer "
-                                   f"than {_SCAN_BYTES} bytes")
 
 
 def _first_bad(lines, integer=False):

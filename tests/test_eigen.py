@@ -130,6 +130,7 @@ def test_arpack_eigenpairs_on_dense_synthetic_graph():
     resid = laplacian(g) @ x - x * emb.eigenvalues[None, :]
     assert np.linalg.norm(resid, axis=0).max() < 1e-10
     assert np.abs(emb.P @ emb.P.T - np.eye(10)).max() < 1e-10
+    assert stats["residual_next"] <= 1e-8
 
 
 def test_stats_count_the_solve(rng, monkeypatch):
@@ -145,6 +146,74 @@ def test_stats_count_the_solve(rng, monkeypatch):
             np.linalg.norm(resid, axis=0).max(), rel=1e-3, abs=1e-14)
         assert emb.stats["lambda_k"] == emb.eigenvalues[-1]
         assert emb.stats["lambda_next"] == emb.lambda_next
+        assert 0.0 <= emb.stats["residual_next"] <= 1e-8
+
+
+@pytest.mark.parametrize("threshold, storage, sizes", [
+    (DENSE_THRESHOLD, "csr", (80,)),
+    (1, "dense", (60,)),
+    (1, "csr", (80,)),
+    (10, "csr", (30, 20, 2, 2)),
+    (10, "dense", (40, 2)),
+], ids=["eigh", "dense-arpack", "csr-arpack", "csr-components", "dense-components"])
+def test_next_pair_certified(rng, monkeypatch, threshold, storage, sizes):
+    # the (k+1)th pair is validated with the k it bounds, on every path,
+    # and its residual is the one reported
+    monkeypatch.setattr(ellispec.eigen, "DENSE_THRESHOLD", threshold)
+    density = 0.9 if storage == "dense" else 0.15
+    g = (random_graph(rng, sizes[0], density) if len(sizes) == 1
+         else disconnected_graph(rng, sizes, density))
+    assert isinstance(g.adjacency, np.ndarray) == (storage == "dense")
+    real, seen = ellispec.eigen._validate, []
+
+    def recording(P, vals, *args, **kwargs):
+        seen.append((P.copy(), vals.copy()))
+        return real(P, vals, *args, **kwargs)
+
+    monkeypatch.setattr(ellispec.eigen, "_validate", recording)
+    k = len(sizes) + 2
+    emb = bottom_k_eigs(g, k)
+    (P, vals), = seen
+    assert P.shape == (k + 1, g.n) and np.array_equal(P[:k], emb.P)
+    assert vals[k] == emb.lambda_next
+    s = emb.stats
+    assert s["method"] == ("arpack" if max(sizes) > threshold else "eigh")
+    resid = np.linalg.norm(laplacian(g) @ P[k] - vals[k] * P[k])
+    assert s["residual_next"] == pytest.approx(resid, rel=1e-3, abs=1e-14)
+    assert s["residual_next"] <= 1e-8
+    exact = scipy.linalg.eigh(laplacian(g), subset_by_index=[k, k])[1][:, 0]
+    assert abs(abs(exact @ P[k]) - 1.0) < 1e-10
+
+
+def test_next_pair_residual_refused(rng, monkeypatch):
+    # eigsh returns the (k+1)th vector turned by 1e-6 towards a unit vector
+    # orthogonal to every returned vector and to the null vector, so the k+1
+    # rows stay orthonormal and only that pair's residual grows
+    g = random_graph(rng, 50, density=0.2)
+    z = np.sqrt(g.degrees) / np.linalg.norm(np.sqrt(g.degrees))
+    real = scipy.sparse.linalg.eigsh
+    given = []
+
+    def turned(op, **kw):
+        theta, vecs = real(op, **kw)
+        basis = np.column_stack([z, vecs])
+        u = rng.standard_normal(g.n)
+        for _ in range(2):
+            u -= basis @ (basis.T @ u)
+        j = np.argmin(theta)  # the largest eigenvalue of L asked for
+        v = vecs[:, j] + 1e-6 * u / np.linalg.norm(u)
+        vecs[:, j] = v / np.linalg.norm(v)
+        given.append((2.0 - theta[j], vecs[:, j].copy()))
+        return theta, vecs
+
+    monkeypatch.setattr(ellispec.eigen, "DENSE_THRESHOLD", 1)
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", turned)
+    with pytest.raises(ConvergenceError, match="eigen-residual") as err:
+        bottom_k_eigs(g, 3)
+    (lam, v), = given
+    expected = np.linalg.norm(laplacian(g) @ v - lam * v)
+    assert 1e-7 < expected < 1e-5
+    assert err.value.achieved == pytest.approx(expected, rel=1e-6)
 
 
 def test_subspace_bound_on_a_known_gap():
@@ -159,8 +228,12 @@ def test_subspace_bound_on_a_known_gap():
 
 
 def test_solve_without_a_gap_is_refused(rng, monkeypatch):
-    # a solve whose lambda_{k+1} equals lambda_k has no gap to bound by
+    # a solve that reports lambda_{k+1} equal to lambda_k has no gap to bound
+    # by; the (k+1)th pair is certified, so the tie is refused by its
+    # residual, which is the true gap lambda_{k+1} - lambda_k
+    g = random_graph(rng, 30, density=0.3)
     real = scipy.linalg.eigh
+    exact = real(laplacian(g), eigvals_only=True, subset_by_index=[2, 3])
 
     def tied(*args, **kwargs):
         vals, vecs = real(*args, **kwargs)
@@ -168,9 +241,30 @@ def test_solve_without_a_gap_is_refused(rng, monkeypatch):
         return vals, vecs
 
     monkeypatch.setattr(scipy.linalg, "eigh", tied)
+    with pytest.raises(ConvergenceError, match="eigen-residual") as err:
+        bottom_k_eigs(g, 3)
+    assert err.value.achieved == pytest.approx(exact[1] - exact[0], rel=1e-9)
+
+
+def test_gap_within_the_next_residual_is_refused(monkeypatch):
+    # two 4-cliques joined by weights of 1e-12: lambda_2 = 2.08e-12, which
+    # eigh is made to report 1.5e-12 lower.  That pair's residual, 1.5e-12,
+    # passes the 1e-8 check, but it exceeds the gap left, 5.8e-13, so the
+    # eigenspace is not determined
+    g = synth_adjacency([4, 4], 1e-12, 0).graph
+    real = scipy.linalg.eigh
+    lambda_2 = real(laplacian(g), eigvals_only=True, subset_by_index=[1, 1])[0]
+    assert 2e-12 < lambda_2 < 2.2e-12
+
+    def lowered(*args, **kwargs):
+        vals, vecs = real(*args, **kwargs)
+        vals[1] -= 1.5e-12
+        return vals, vecs
+
+    monkeypatch.setattr(scipy.linalg, "eigh", lowered)
     with pytest.raises(ConvergenceError, match="eigengap") as err:
-        bottom_k_eigs(random_graph(rng, 30, density=0.3), 3)
-    assert err.value.achieved == 0.0
+        bottom_k_eigs(g, 1)
+    assert err.value.achieved == pytest.approx(lambda_2 - 1.5e-12, abs=1e-15)
 
 
 def test_k_splitting_a_repeated_eigenvalue_is_refused():
@@ -224,10 +318,11 @@ def test_arpack_failure_reports_converged_residual(rng, monkeypatch, converged):
     if not converged:
         assert info.value.achieved is None
         return
-    # the operator ARPACK sees: I - L with its null vector moved to -2
+    # the operator ARPACK sees: I + S = 2I - L with its null vector moved
+    # to -1
     theta, vecs = given[0]
     z = np.sqrt(g.degrees) / np.linalg.norm(np.sqrt(g.degrees))
-    op = np.eye(g.n) - laplacian(g) - 3.0 * np.outer(z, z)
+    op = 2.0 * np.eye(g.n) - laplacian(g) - 3.0 * np.outer(z, z)
     expected = np.linalg.norm(op @ vecs - vecs * theta, axis=0).max()
     assert expected > 1e-4
     assert info.value.achieved == pytest.approx(expected, rel=1e-10)
@@ -330,9 +425,9 @@ def test_nearly_split_component_keeps_its_own_null_pair(monkeypatch, threshold):
 
 def whole_graph_solve(g, k):
     """(P, eigenvalues, lambda_next, matvecs) of the solve on all of W at
-    once: eigh on I - S up to DENSE_THRESHOLD nodes; above, ARPACK on S
-    with the unit sqrt(d) vector z moved to eigenvalue -2, and z put first
-    at eigenvalue 0."""
+    once: eigh on I - S up to DENSE_THRESHOLD nodes; above, ARPACK on I + S
+    at the solver's tolerance, with the unit sqrt(d) vector z moved to
+    eigenvalue -1, and z put first at eigenvalue 0."""
     w, n = g.adjacency, g.n
     dinv = 1.0 / np.sqrt(g.degrees)
     if n <= DENSE_THRESHOLD:
@@ -351,14 +446,14 @@ def whole_graph_solve(g, k):
         def matvec(x):
             count.append(1)
             x = x.ravel()
-            return dinv * product(dinv * x) - 3.0 * (z * np.cumsum(z * x)[-1])
+            return x + dinv * product(dinv * x) - 3.0 * (z * np.cumsum(z * x)[-1])
 
         op = scipy.sparse.linalg.LinearOperator((n, n), matvec=matvec,
                                                 dtype=np.float64)
         theta, found = scipy.sparse.linalg.eigsh(
-            op, k=k, which="LA", tol=1e-10,
+            op, k=k, which="LA", tol=ellispec.eigen.RESIDUAL_TOL,
             v0=np.random.default_rng(0x5EED).standard_normal(n))
-        vals, vecs = np.r_[0.0, 1.0 - theta], np.column_stack([z, found])
+        vals, vecs = np.r_[0.0, 2.0 - theta], np.column_stack([z, found])
         matvecs = len(count)
     order = np.argsort(vals)
     return vecs[:, order[:k]].T, vals[order[:k]], vals[order[k]], matvecs

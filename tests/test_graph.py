@@ -135,6 +135,17 @@ class TestWeightedGraph:
         assert g.adjacency is w
         assert not w.flags.writeable
 
+    @pytest.mark.parametrize("storage", ["dense", "csr"])
+    def test_degrees_read_only(self, storage):
+        # a weighted triangle is stored dense, a 20-node ring CSR
+        g = WeightedGraph(np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 3.0], [2.0, 3.0, 0.0]])
+                          if storage == "dense" else _ring_with(1.0))
+        assert isinstance(g.adjacency, np.ndarray) == (storage == "dense")
+        before = g.degrees.copy()
+        with pytest.raises(ValueError, match="read-only"):
+            g.degrees[0] = 9.0
+        assert np.array_equal(g.degrees, before)
+
     def test_degrees_include_self_loops(self):
         g = WeightedGraph(np.array([[2.0, 1.0], [1.0, 0.0]]))
         assert g.degrees[0] == 3.0

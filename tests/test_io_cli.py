@@ -184,18 +184,20 @@ class TestGraphFiles:
                 read_graph(path)
 
     def test_line_longer_than_the_read_buffer(self, tmp_path, monkeypatch):
-        # a line as long as the buffer reads; one that spans three buffers is
-        # rejected before the next buffer is read
+        # a line as long as the buffer reads; one byte more is rejected, though
+        # the line spans only two buffers, and one that spans three is rejected
+        # before the next buffer is read
         monkeypatch.setattr(ellispec.io, "_SCAN_BYTES", 64)
         head = b"%%MatrixMarket matrix coordinate real symmetric\n3 3 2\n3 2 1.0\n"
         path = tmp_path / "g.mtx"
         for end in (b"\n", b""):
             path.write_bytes(head + b"3 1 2.0".rjust(64) + end)
             assert read_graph(path).adjacency[2, 0] == 2.0
-            path.write_bytes(head + b"3 1 2.0".rjust(3 * 64) + end)
-            with pytest.raises(InvalidGraphError, match=f"the line at offset {len(head)} "
-                                                        "is longer than 64 bytes"):
-                read_graph(path)
+            for width in (65, 3 * 64):
+                path.write_bytes(head + b"3 1 2.0".rjust(width) + end)
+                with pytest.raises(InvalidGraphError, match=f"the line at offset "
+                                   f"{len(head)} is longer than 64 bytes"):
+                    read_graph(path)
 
     @pytest.mark.parametrize("field, last, reads", [
         (b"real", b"3 1 2.0", True), (b"real", b"3 1 2.0 ", True),
@@ -595,6 +597,9 @@ class TestCliExitCodes:
         (["--sizes", "30,0"], "bad --sizes value: '30,0'"),
         (["--sizes", "30,10x-1"], "bad --sizes value: '30,10x-1'"),
         (["--sizes", "30,10x0"], "bad --sizes value: '30,10x0'"),
+        (["--sizes", "5,abc"], "bad --sizes value: '5,abc'"),
+        (["--sizes", "5xq"], "bad --sizes value: '5xq'"),
+        (["--sizes", "1.5"], "bad --sizes value: '1.5'"),
         ([], "one of the arguments --suite --sizes is required"),
         (["--suite", "balanced-desk", "--sizes", "5,5"],
          "argument --sizes: not allowed with argument --suite"),
@@ -603,7 +608,8 @@ class TestCliExitCodes:
         (["--sizes", "5,5", "--deltas", " "], "bad --deltas value: ' '"),
         (["--sizes", "5,5", "--deltas", "0,,1"], "bad --deltas value: '0,,1'"),
         (["--sizes", "5,5", "--deltas", "0.5,abc"], "bad --deltas value: '0.5,abc'"),
-    ], ids=["bad-size", "negative-count", "zero-count", "no-sizes", "suite-and-sizes",
+    ], ids=["bad-size", "negative-count", "zero-count", "non-integer-size",
+            "non-integer-count", "fractional-size", "no-sizes", "suite-and-sizes",
             "empty-deltas", "blank-deltas", "empty-delta-term", "non-number-delta"])
     def test_bad_sweep_sizes_are_usage(self, args, message, monkeypatch, capsys):
         def no_draw(*args, **kwargs):
