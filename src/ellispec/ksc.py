@@ -15,15 +15,22 @@ new centers (n x T), and each trial then draws from its own stream.  Each
 Lloyd step assigns the points for all A trials not yet at their fixpoint
 with one product of the points against all of those trials' centers
 (n x A*k), takes each trial's argmin over its own k columns, and sums
-every trial's new centroids with one sparse one-hot product; a trial
-retires once its assignment repeats.  Both products are formed over row
-blocks of the points, so a block and its temporaries hold at most
-BLOCK_BYTES whatever n, k and T; beyond that a call keeps O(n T) for the
-labels, distances and seeding weights of its T trials.  Only the
-rounding of the products and the order of the centroid sums differ from
-one trial at a time, so costs agree with separate runs to rounding, and
-centers, labels and iteration counts agree unless a draw or a point lies
-within rounding of a boundary or a tie.
+every trial's new centroids, and each cluster's sum of |p|^2 that gives
+its cost, with one sparse one-hot product; a trial retires once its
+assignment repeats.  For k >= BOUNDED_MIN_K, the steps after the first
+FULL_PASSES carry a Hamerly upper and lower distance bound per point and
+trial instead, and form the distances of only the points whose label the
+bounds leave in doubt (see ``lloyd``).
+
+Both products are formed over row blocks of the points, so a block and
+its temporaries hold at most BLOCK_BYTES, except that a Lloyd block takes
+at least 64 rows (16 bytes for each of 64 x A*k distances, 14 MiB at
+k = 143 with A = 100); beyond that a call keeps O(n T) for the labels,
+distance bounds and seeding weights of its T trials.  Only the rounding
+of the products and the order of the sums differ from one trial at a
+time, so costs agree with separate runs to rounding, and centers, labels
+and iteration counts agree unless a draw or a point lies within rounding
+of a boundary or a tie.
 """
 
 from __future__ import annotations
@@ -40,8 +47,18 @@ from .graph import Partition, WeightedGraph
 __all__ = ["KscRun", "kmeanspp_seed", "lloyd", "ksc_cluster"]
 
 MAX_ITER = 1000
-# bytes of a row block of squared distances plus its temporaries
+# bytes of a row block of squared distances plus its temporaries; Lloyd's
+# blocks take at least 64 rows, so that no product gets too thin to be fast
 BLOCK_BYTES = 2 << 20
+# Lloyd carries distance bounds for k >= BOUNDED_MIN_K, after FULL_PASSES
+# iterations that form every distance: below it, at k = 10 with 100 trials,
+# the bounded step's per-trial work costs more than the full product saves
+BOUNDED_MIN_K = 20
+FULL_PASSES = 3
+# factors that round a bound up or down past the rounding of one or two
+# floating-point operations, and a center's move up past that of its norm
+_UP = 1.0 + 4 * np.finfo(np.float64).eps
+_DOWN = 1.0 - 4 * np.finfo(np.float64).eps
 
 
 @dataclass
@@ -132,16 +149,19 @@ def kmeanspp_seed(points: np.ndarray, k: int, rngs) -> np.ndarray:
     return centers
 
 
-def _assign(points, p2, centers, k):
-    """Labels and squared distances, each A x n, of every point for the A
-    trials whose centers are the k-column blocks of ``centers``; argmin
-    breaks ties toward the lowest cluster."""
+def _assign(points, p2, centers, k, distances=False):
+    """Labels, A x n, of every point for the A trials whose centers are the
+    k-column blocks of ``centers``; argmin breaks ties toward the lowest
+    cluster.  With ``distances``, also each point's smallest squared
+    distance, at least zero, and its second-smallest, each A x n."""
     n = points.shape[1]
     width = centers.shape[1]
     c2 = np.einsum("ij,ij->j", centers, centers)
     labels = np.empty((width // k, n), dtype=np.int64)
-    dists = np.empty((width // k, n))
-    step = max(1, BLOCK_BYTES // (16 * width))
+    if distances:
+        dists = np.empty((width // k, n))
+        seconds = np.empty((width // k, n))
+    step = max(64, BLOCK_BYTES // (16 * width))
     for lo in range(0, n, step):
         block = slice(lo, lo + step)
         twice = points[:, block].T @ centers
@@ -151,9 +171,15 @@ def _assign(points, p2, centers, k):
         d2 = d2.reshape(d2.shape[0], -1, k)
         own = d2.argmin(axis=2)
         labels[:, block] = own.T
-        dists[:, block] = np.take_along_axis(d2, own[:, :, None], axis=2)[:, :, 0].T
+        if distances:
+            own = own[:, :, None]
+            dists[:, block] = np.take_along_axis(d2, own, axis=2)[:, :, 0].T
+            np.put_along_axis(d2, own, np.inf, axis=2)
+            seconds[:, block] = d2.min(axis=2).T
+    if not distances:
+        return labels
     np.maximum(dists, 0.0, out=dists)
-    return labels, dists
+    return labels, dists, seconds
 
 
 def _repair(labels, dists, k):
@@ -161,8 +187,8 @@ def _repair(labels, dists, k):
     ascending order, takes the point farthest from its centroid (ties to
     the lowest index) among those whose cluster keeps another member.  A
     point so moved is the last member of its new cluster, so no point is
-    taken twice, and with n >= k every cluster ends nonempty.  Returns how
-    many clusters it filled."""
+    taken twice, and with n >= k every cluster ends nonempty.  Returns the
+    clusters it filled."""
     counts = np.bincount(labels, minlength=k)
     empty = np.flatnonzero(counts == 0)
     for cid in empty:
@@ -172,20 +198,104 @@ def _repair(labels, dists, k):
         counts[cid] = 1
         labels[far] = cid
         dists[far] = 0.0
-    return int(empty.size)
+    return empty
 
 
-def _centroids(points, labels, k):
-    """Cluster means of A trials from their A x n labels, as the k-column
-    blocks of a d x A*k matrix: one sparse one-hot product sums them all."""
+def _cluster_sums(rows, labels, k):
+    """Sums of ``rows`` (n x m) over every cluster of A trials, from their
+    A x n labels, as an A*k x m array, and the A*k cluster sizes: one
+    sparse one-hot product sums them all, each in the order of the
+    points."""
     trials, n = labels.shape
     cluster = (labels + k * np.arange(trials)[:, None]).T.ravel()
     onehot = sp.csc_matrix(
         (np.ones(cluster.size), cluster, np.arange(0, cluster.size + 1, trials)),
         shape=(trials * k, n),
     )
-    sums = onehot @ points.T
-    return (sums / np.bincount(cluster, minlength=trials * k)[:, None]).T
+    return onehot @ rows, np.bincount(cluster, minlength=trials * k)
+
+
+def _costs(sums, counts, centers, filled):
+    """Each trial's cost from its cluster sums of (p, |p|^2) and the
+    centers its points were assigned to: per cluster
+    sum |p|^2 + n |c|^2 - 2 c.sum p, at least zero, zero for a cluster the
+    singleton rule ``filled``, and the k terms summed in ascending order,
+    so that one partition under any cluster ids costs the same bits."""
+    d = centers.shape[0]
+    c2 = np.einsum("ij,ij->j", centers, centers)
+    terms = sums[:, d] + counts * c2
+    terms -= 2.0 * np.einsum("ji,ij->i", centers, sums[:, :d])
+    np.maximum(terms, 0.0, out=terms)
+    terms[filled.ravel()] = 0.0
+    terms = terms.reshape(filled.shape)
+    terms.sort(axis=1)
+    return terms.sum(axis=1)
+
+
+def _start_bounds(p2, centers, k, dists, seconds, rounding):
+    """Upper and lower bounds, A x n, in place of ``dists`` and
+    ``seconds``: on each point's distance to its own center and to every
+    other center of its trial, from the squared distances of a full pass
+    widened by the rounding of the expanded form."""
+    c2max = np.einsum("ij,ij->j", centers, centers).reshape(-1, k).max(axis=1)
+    widen = rounding * (p2 + c2max[:, None])
+    upper = np.sqrt(np.add(dists, widen, out=dists), out=dists)
+    upper *= _UP
+    lower = np.subtract(seconds, widen, out=seconds)
+    np.sqrt(np.maximum(lower, 0.0, out=lower), out=lower)
+    lower *= _DOWN
+    return upper, lower
+
+
+def _bounded_assign(points, p2, centers, moved, labels, upper, lower, rounding):
+    """One bounded Lloyd assignment of one trial, in place on its rows
+    ``labels``, ``upper`` and ``lower``, for its d x k ``centers``, which
+    have moved by ``moved`` (d x k) since the bounds were last valid.
+
+    The bounds follow the centers by the triangle inequality, and half
+    the distance from a point's center to the nearest other center bounds
+    the others from below as well.  A point keeps its label when the
+    bounds put every other squared distance above its own by more than
+    twice the rounding of |p|^2 + |c|^2 - 2 p.c, so that the expanded form
+    cannot pick another label; every other point is recomputed by that
+    form, as in ``_assign``.  Returns how many points were recomputed."""
+    k = centers.shape[1]
+    # how far each center moved, rounded up
+    shift = np.sqrt(np.einsum("ij,ij->j", moved, moved)) * (1.0 + rounding)
+    top = int(np.argmax(shift))
+    others = np.full(k, shift[top])  # the largest move among other centers
+    others[top] = np.max(shift, initial=0.0, where=np.arange(k) != top)
+    c2 = np.einsum("ij,ij->j", centers, centers)
+    between = (c2[:, None] + c2) * (1.0 - rounding)
+    between -= 2.0 * (centers.T @ centers)
+    np.fill_diagonal(between, np.inf)
+    # the distance from each center to its nearest other, rounded down
+    nearest = np.sqrt(np.maximum(between.min(axis=1), 0.0)) * _DOWN
+
+    upper += shift[labels]
+    upper *= _UP
+    lower -= others[labels]
+    lower *= _DOWN
+    np.maximum(lower, 0.0, out=lower)
+    # d(p, c_j) >= d(c_own, c_j) - d(p, c_own) for every other c_j
+    below = nearest[labels]
+    below -= upper
+    below *= _DOWN
+    np.maximum(below, lower, out=below)
+    widen = rounding * (p2 + c2.max())
+    # the squared margin (below - upper)(below + upper), to within 2 eps
+    margin = below - upper
+    below += upper
+    margin *= below
+    need = np.flatnonzero(~(margin > 3.0 * widen))
+    if need.size:
+        own, dists, seconds = _assign(points[:, need], p2[need], centers, k,
+                                      distances=True)
+        labels[need] = own[0]
+        up, low = _start_bounds(p2[need], centers, k, dists, seconds, rounding)
+        upper[need] = up[0]
+        lower[need] = low[0]
+    return need.size
 
 
 def lloyd(points: np.ndarray, k: int, centers: np.ndarray,
@@ -194,25 +304,50 @@ def lloyd(points: np.ndarray, k: int, centers: np.ndarray,
     stack ``centers``; returns a list of T KscRuns, with ``seed`` a
     sequence of T seeds (or None).
 
-    The cost is non-increasing in exact arithmetic.  In floating point the
-    expanded distance |p|^2 + |c|^2 - 2 p.c can round it upward near zero
-    cost (e.g. 3.85e-18 then 5.20e-18 when the points sit on their centers).
-
     Each trial stops at an assignment fixpoint or after max_iter
-    iterations; max_iter < 1 or an empty stack raises ValueError.  Empty
+    iterations; max_iter < 1, an empty stack, a stack that is not T x d x k
+    for the d x n points, or a non-finite center raises ValueError.  Empty
     clusters are processed in ascending cluster-index order: each receives
     as a singleton the point currently farthest from its assigned centroid
     that is not the last member of its cluster.
+
+    For k >= BOUNDED_MIN_K, the first FULL_PASSES iterations form every
+    distance; from then on each trial carries an upper bound on each
+    point's distance to its own center and a lower bound on its distance
+    to every other, and recomputes only the points whose bounds leave
+    their label in doubt (``_bounded_assign``).  A trial whose cluster
+    empties takes a full pass for the singleton rule, and its bounds start
+    again.  Labels are those of full passes, so partitions and iteration
+    counts do not depend on the path.
+
+    A trial's cost is formed from the cluster sums that give its next
+    centers: with |p|^2 summed alongside p, a cluster costs
+    sum |p|^2 + n |c|^2 - 2 c.sum p against the center c its points were
+    assigned to.  The cost is non-increasing in exact arithmetic; in
+    floating point it agrees with summing the expanded distances to a
+    small multiple of eps times sum |p|^2, and may rise by as much near
+    zero cost.
     """
     t0 = time.perf_counter()
     stack = np.asarray(centers, dtype=np.float64)
     if max_iter < 1:
         raise ValueError(f"need max_iter >= 1, got max_iter={max_iter}")
+    d, n = points.shape
+    if stack.ndim != 3 or stack.shape[1:] != (d, k):
+        raise ValueError(f"need a T x {d} x {k} stack of centers for {d} x {n} "
+                         f"points and k={k}, got shape {stack.shape}")
     if not len(stack):
         raise ValueError("need at least one trial's centers, got none")
+    finite = np.isfinite(stack).all(axis=(1, 2))
+    if not finite.all():
+        raise ValueError(f"trial {int(np.argmin(finite))} has a non-finite center")
     seeds = [None] * len(stack) if seed is None else list(seed)
-    trials, d, _ = stack.shape
+    trials = len(stack)
     p2 = np.einsum("ij,ij->j", points, points)
+    rows = np.column_stack([points.T, p2])  # cluster sums of p and |p|^2
+    rounding = 2 * (d + 2) * np.finfo(np.float64).eps
+    # the iteration whose full pass starts the bounds
+    bounds_at = FULL_PASSES - 1 if k >= BOUNDED_MIN_K else -1
     centers = stack.transpose(1, 0, 2).reshape(d, trials * k)
     histories = [[] for _ in range(trials)]
     repairs = [0] * trials
@@ -229,27 +364,63 @@ def lloyd(points: np.ndarray, k: int, centers: np.ndarray,
             empty_repairs=repairs[t],
         )
 
+    def fill(a):
+        # a full pass and the singleton rule for live trial a, whose bounds,
+        # if it has them, start again
+        cols = slice(a * k, (a + 1) * k)
+        own, dists, seconds = _assign(points, p2, centers[:, cols], k, distances=True)
+        new_labels[a] = own[0]
+        empty = _repair(new_labels[a], dists[0], k)
+        repairs[live[a]] += empty.size
+        filled[a, empty] = True
+        if upper is not None:
+            # a point moved is not at its nearest center: no upper bound
+            dists[0, np.isin(new_labels[a], empty)] = np.inf
+            up, low = _start_bounds(p2, centers[:, cols], k, dists, seconds, rounding)
+            upper[a], lower[a] = up[0], low[0]
+
     live = np.arange(trials)
-    labels = None
+    labels = upper = lower = None
     for it in range(max_iter):
-        new_labels, dists = _assign(points, p2, centers, k)
+        if upper is not None:
+            new_labels = labels.copy()
+            moved = centers - previous
+            for a in range(live.size):
+                cols = slice(a * k, (a + 1) * k)
+                _bounded_assign(points, p2, centers[:, cols], moved[:, cols],
+                                new_labels[a], upper[a], lower[a], rounding)
+        elif it == bounds_at:
+            new_labels, dists, seconds = _assign(points, p2, centers, k,
+                                                 distances=True)
+            upper, lower = _start_bounds(p2, centers, k, dists, seconds, rounding)
+            del dists, seconds
+        else:
+            new_labels = _assign(points, p2, centers, k)
         offsets = k * np.arange(live.size)[:, None]
         counts = np.bincount((new_labels + offsets).ravel(), minlength=live.size * k)
+        filled = np.zeros((live.size, k), dtype=bool)
         for a in np.flatnonzero((counts.reshape(-1, k) == 0).any(axis=1)):
-            repairs[live[a]] += _repair(new_labels[a], dists[a], k)
-        costs = dists.sum(axis=1)
+            fill(a)
+        sums, counts = _cluster_sums(rows, new_labels, k)
+        costs = _costs(sums, counts, centers, filled)
         for t, cost in zip(live, costs.tolist()):
             histories[t].append(cost)
         if labels is not None:
             done = (new_labels == labels).all(axis=1)
             for a in np.flatnonzero(done):
                 retire(live[a], labels[a], float(costs[a]), it)
-            keep = ~done
-            live, new_labels, costs = live[keep], new_labels[keep], costs[keep]
-            if not live.size:
+            if done.all():
                 break
+            if done.any():
+                keep = ~done
+                live, new_labels, costs = live[keep], new_labels[keep], costs[keep]
+                kept = np.repeat(keep, k)
+                sums, counts, centers = sums[kept], counts[kept], centers[:, kept]
+                if upper is not None:
+                    upper, lower = upper[keep], lower[keep]
         labels = new_labels
-        centers = _centroids(points, labels, k)
+        previous = centers
+        centers = (sums[:, :d] / counts[:, None]).T
     else:  # the max_iter cut
         for a, t in enumerate(live):
             retire(t, labels[a], float(costs[a]), max_iter)

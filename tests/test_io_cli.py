@@ -23,6 +23,7 @@ from ellispec import (
     Partition,
     RankError,
     bottom_k_eigs,
+    ksc_cluster,
     read_graph,
     read_labels,
     synth_adjacency,
@@ -352,6 +353,26 @@ class TestCliPipeline:
         assert len(recs[0]) == 4
         assert [r["trial"] for r in recs[0]] == [0, 1, 2, 3]
         assert all(r["empty_repairs"] == 0 for r in recs[0])
+
+    def test_ksc_labels_on_disk_are_the_first_lowest_cost_trial(self, tmp_path):
+        # balanced-desk at delta = 1: most of the 100 trials reach one
+        # partition under different cluster ids, and their costs must tie
+        # bit for bit, so that the first of them is the one written
+        g, found, rec = tmp_path / "g.mtx", tmp_path / "found.txt", tmp_path / "r.json"
+        main(["synth", "--sizes", "100x10", "--delta", "1", "--seed", "0",
+              "--out", str(g), "--json", str(tmp_path / "s.json")])
+        assert main(["cluster", "--algo", "ksc", "--graph", str(g), "--k", "10",
+                     "--trials", "100", "--seed", "0", "--out", str(found),
+                     "--json", str(rec)]) == 0
+        costs = [r["cost"] for r in read_json_lines(rec)]
+        tied = [t for t, c in enumerate(costs) if c == min(costs)]
+        runs = ksc_cluster(read_graph(str(g)), 10, trials=100, seed=0)
+        parts = [cli._canonical_bytes(r.partition.labels) for r in runs]
+        assert tied == [t for t in range(100) if parts[t] == parts[tied[0]]]
+        labels = [runs[t].partition.labels for t in tied]
+        assert len({x.tobytes() for x in labels}) > 1
+        assert np.array_equal(read_labels(found).labels, labels[0])
+        assert not np.array_equal(read_labels(found).labels, labels[-1])
 
     def test_knn_graph_command(self, tmp_path):
         X = np.abs(np.random.default_rng(2).standard_normal((12, 5))) + 0.1

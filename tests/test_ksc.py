@@ -268,7 +268,14 @@ class TestLloyd:
         (np.zeros((1, 1, 2)), 0, "max_iter >= 1, got max_iter=0"),
         (np.zeros((1, 1, 2)), -3, "max_iter >= 1, got max_iter=-3"),
         (np.zeros((0, 1, 2)), MAX_ITER, "at least one trial"),
-    ], ids=["no-iterations", "negative-iterations", "no-trials"])
+        (np.zeros((1, 3, 4)), MAX_ITER, r"T x 1 x 2 stack .* got shape \(1, 3, 4\)"),
+        (np.zeros((1, 2, 2)), MAX_ITER, r"got shape \(1, 2, 2\)"),
+        (np.zeros((1, 2)), MAX_ITER, r"got shape \(1, 2\)"),
+        (np.array([[[0.0, 10.0]], [[np.nan, 1.0]]]), MAX_ITER,
+         "trial 1 has a non-finite center"),
+        (np.array([[[0.0, np.inf]]]), MAX_ITER, "trial 0 has a non-finite center"),
+    ], ids=["no-iterations", "negative-iterations", "no-trials", "wrong-k",
+            "wrong-d", "not-a-stack", "nan", "inf"])
     def test_degenerate_arguments_rejected(self, centers, max_iter, message):
         points = np.array([[0.0, 1.0, 10.0]])
         with pytest.raises(ValueError, match=message):
@@ -291,16 +298,98 @@ def lloyd_batches(draw):
     return points, k, np.stack([points[:, p] for p in picks]), max_iter
 
 
+def count_calls(monkeypatch, name):
+    """Wrap ``ksc.<name>`` to count its calls; returns the count, a list
+    that grows by one item per call."""
+    calls = []
+    wrapped = getattr(ksc, name)
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return wrapped(*args, **kwargs)
+
+    monkeypatch.setattr(ksc, name, counted)
+    return calls
+
+
+def check_stack_against_reference(batch):
+    """Lloyd on a stack of trials equals the reference trial by trial, and
+    its first trial equals a call on that trial alone."""
+    points, k, centers, max_iter = batch
+    runs = lloyd(points, k, centers, max_iter=max_iter)
+    single = lloyd(points, k, centers[:1], max_iter=max_iter)[0]
+    assert_matches_reference(points, k, centers, runs, max_iter)
+    assert np.array_equal(single.partition.labels, runs[0].partition.labels)
+    assert single.iterations == runs[0].iterations
+
+
 class TestBatchedLloyd:
     @settings(max_examples=200, deadline=None)
     @given(lloyd_batches())
     def test_stack_matches_reference_and_single_calls(self, batch):
-        points, k, centers, max_iter = batch
-        runs = lloyd(points, k, centers, max_iter=max_iter)
-        assert_matches_reference(points, k, centers, runs, max_iter)
-        single = lloyd(points, k, centers[:1], max_iter=max_iter)[0]
-        assert np.array_equal(single.partition.labels, runs[0].partition.labels)
-        assert single.iterations == runs[0].iterations
+        check_stack_against_reference(batch)
+
+    # carries distance bounds from the second iteration on at any k, so that
+    # the small batches take the bounded step too
+    @settings(max_examples=200, deadline=None)
+    @given(lloyd_batches())
+    def test_bounded_stack_matches_reference_and_single_calls(self, batch):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ksc, "BOUNDED_MIN_K", 1)
+            mp.setattr(ksc, "FULL_PASSES", 1)
+            check_stack_against_reference(batch)
+
+    def test_bounded_iterations_at_large_k(self, monkeypatch):
+        # k = 25 takes the bounded step without any patched threshold; the
+        # four trials run 15, 15, 20 and 11 iterations, all but the first
+        # FULL_PASSES of each bounded
+        assert 25 >= ksc.BOUNDED_MIN_K
+        bounded = count_calls(monkeypatch, "_bounded_assign")
+        graph = synth_adjacency([24] * 25, 1.5, 1).graph
+        points = scaled_points(graph, 25)
+        centers = np.stack([reference_kmeanspp_seed(points, 25, np.random.default_rng([5, t]))
+                            for t in range(4)])
+        runs = lloyd(points, 25, centers)
+        assert len(bounded) == sum(r.iterations + 1 - ksc.FULL_PASSES for r in runs)
+        assert len(bounded) >= 40
+        assert_matches_reference(points, 25, centers, runs)
+
+    def test_cluster_empties_in_a_bounded_iteration(self, monkeypatch):
+        # a cluster empties in the fourth assignment, the first bounded one:
+        # the trial takes a full pass, the singleton rule fills it, and the
+        # bounds start again for the fifth, which repeats the fourth
+        monkeypatch.setattr(ksc, "BOUNDED_MIN_K", 3)
+        bounded = count_calls(monkeypatch, "_bounded_assign")
+        repaired_after = []
+        repair = ksc._repair
+
+        def noted(*args):
+            repaired_after.append(len(bounded))
+            return repair(*args)
+
+        monkeypatch.setattr(ksc, "_repair", noted)
+        points = np.array([[-1.0, 1.0, 0.0, 1.0, 2.0, 3.0, 3.0],
+                           [-2.0, 3.0, 3.0, -2.0, -2.0, 1.0, 3.0]])
+        centers = points[:, [0, 3, 4]][None]
+        runs = lloyd(points, 3, centers)
+        assert runs[0].empty_repairs == 1
+        assert repaired_after == [1]
+        assert runs[0].iterations == 4 and len(bounded) == 2
+        assert_matches_reference(points, 3, centers, runs)
+
+    def test_point_on_a_bisector_in_a_bounded_iteration(self, monkeypatch):
+        # the first pass puts 1.5 in cluster 1; the centroids -1.5 and 4.5
+        # put it exactly halfway, 3 from each, in the second assignment, a
+        # bounded one, where it must go to the lower id like every tie
+        monkeypatch.setattr(ksc, "BOUNDED_MIN_K", 2)
+        monkeypatch.setattr(ksc, "FULL_PASSES", 1)
+        bounded = count_calls(monkeypatch, "_bounded_assign")
+        points = np.array([[-4.0, 1.0, 1.5, 7.5]])
+        centers = np.array([[[0.0, 2.5]]])
+        runs = lloyd(points, 2, centers)
+        assert runs[0].partition.labels.tolist() == [0, 0, 0, 1]
+        assert runs[0].iterations == 2 and len(bounded) == 2
+        assert_matches_reference(points, 2, centers, runs)
 
     @settings(max_examples=25, deadline=None)
     @given(sizes=st.lists(st.integers(4, 12), min_size=2, max_size=5),
