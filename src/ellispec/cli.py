@@ -178,10 +178,11 @@ def _canonical_bytes(labels):
     return np.argsort(np.argsort(first))[labels].tobytes()
 
 
-def _sweep_point(inst, algos, trials, seed):
+def _sweep_point(inst, build_s, algos, trials, seed):
     row = {
         "delta": inst.delta,
         "bound": conductance_bound(inst.c_min, inst.delta),
+        "build_s": build_s,
     }
     if "elli" in algos:
         result, elapsed = timed(elli_cluster, inst.graph, inst.truth.k)
@@ -228,9 +229,11 @@ def _cmd_sweep(args):
         raise ValueError(f"bad --deltas value: {args.deltas!r}") from None
     # one point at a time, in order: BLAS already runs each point's products
     # on every core, and each instance, with its adjacency and embedding, is
-    # dropped once its row exists, before the next W is built
+    # dropped once its row exists, before the next W is built; build_s is
+    # the time the generator took to yield the point's instance
     point = partial(_sweep_point, algos=algos, trials=args.trials, seed=args.seed)
-    rows = list(map(point, delta_sweep(sizes, deltas, seed=args.seed)))
+    instances = delta_sweep(sizes, deltas, seed=args.seed)
+    rows = [point(*timed(next, instances)) for _ in deltas]
     records = [{"algo": "sweep", "k": len(sizes), "seed": args.seed,
                 "trials": args.trials, "version": __version__, **row} for row in rows]
     _emit(records, args.json)

@@ -12,7 +12,10 @@ mass of M and r_i half the off-block mass incident to the block.
 Each instance's W is built once as an ndarray and handed to its
 ``WeightedGraph`` with ``copy=False``, so the graph stores that array
 (read-only) whenever at least half its entries are nonzero, as for every
-delta > 0, and a CSR copy of it otherwise.
+delta > 0, and a CSR copy of it otherwise.  Every point of a sweep but the
+last builds its W in a fresh array beside M; the last one scales M's own
+array into its W, so a single instance holds one n x n array (two with
+``permute``, whose node shuffle copies W).
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import BLOCK_ROWS, Partition, WeightedGraph
+from .graph import TILE, Partition, WeightedGraph
 
 __all__ = [
     "SynthInstance",
@@ -45,27 +48,32 @@ class SynthInstance:
 
 
 def _sample_m(n, rng):
-    """Uniform draws mirrored from the strict upper triangle, in place: the
-    same matrix as triu(U, 1) + triu(U, 1).T without two n x n copies."""
-    m = rng.uniform(0.0, 1.0, size=(n, n))
-    for lo in range(0, n, BLOCK_ROWS):
-        hi = lo + BLOCK_ROWS
-        m[lo:hi, :lo] = m[:lo, lo:hi].T
+    """M and its row sums.  Uniform draws are mirrored from the strict upper
+    triangle in place, one TILE x TILE tile at a time: the same matrix as
+    triu(U, 1) + triu(U, 1).T without two n x n copies.  Each panel of rows
+    is summed once it is complete, the same bits as m.sum(axis=1)."""
+    m = rng.random((n, n))  # the bits of uniform(0.0, 1.0): 0.0 + 1.0 * x
+    rows = np.empty(n)
+    for lo in range(0, n, TILE):
+        hi = lo + TILE
+        for j in range(0, lo, TILE):
+            m[lo:hi, j:j + TILE] = m[j:j + TILE, lo:hi].T
         upper = np.triu(m[lo:hi, lo:hi], 1)
         m[lo:hi, lo:hi] = upper + upper.T
-    return m
+        rows[lo:hi] = m[lo:hi].sum(axis=1)
+    return m, rows
 
 
 def _block_labels(sizes):
     return np.repeat(np.arange(len(sizes)), sizes)
 
 
-def _cluster_constants(m, blocks):
+def _cluster_constants(m, rows, blocks):
     """c_i = within-block mass / half the off-block mass, per block; inf for
-    a single block, which has no off-block mass."""
+    a single block, which has no off-block mass.  ``rows`` holds M's row
+    sums."""
     if len(blocks) == 1:
         return np.array([np.inf])
-    rows = m.sum(axis=1)
     c = np.empty(len(blocks))
     for i, (lo, hi) in enumerate(blocks):
         b_i = m[lo:hi, lo:hi].sum()
@@ -73,11 +81,19 @@ def _cluster_constants(m, blocks):
     return c
 
 
-def _assemble(m, blocks, labels, delta, permutation=None):
-    """W = B + delta * R, built in a fresh array that the graph takes over."""
-    w = m * (0.5 * delta)
-    for lo, hi in blocks:
-        w[lo:hi, lo:hi] = m[lo:hi, lo:hi]
+def _assemble(m, blocks, labels, delta, permutation=None, in_place=False):
+    """W = B + delta * R, in a fresh array that the graph takes over, or
+    ``in_place`` in M's own array, whose off-block entries are scaled by
+    0.5 delta: the same bits either way."""
+    if in_place:
+        w = m
+        for lo, hi in blocks:
+            w[lo:hi, :lo] *= 0.5 * delta
+            w[lo:hi, hi:] *= 0.5 * delta
+    else:
+        w = m * (0.5 * delta)
+        for lo, hi in blocks:
+            w[lo:hi, lo:hi] = m[lo:hi, lo:hi]
     out_labels = labels
     if permutation is not None:
         w = w[np.ix_(permutation, permutation)]
@@ -101,9 +117,10 @@ def delta_sweep(sizes, deltas=DEFAULT_DELTAS, seed=0, permute=False):
     """Yield instances for each delta, all built from one shared M.
 
     Reusing a single M per seed isolates the effect of delta, so curves
-    over the sweep are smooth.  ``seed`` is anything ``default_rng``
-    accepts, a Generator included.  Sizes and deltas are checked before
-    M is drawn.
+    over the sweep are smooth.  The last instance's W is built in M's own
+    array, so a one-point sweep holds one n x n array.  ``seed`` is
+    anything ``default_rng`` accepts, a Generator included.  Sizes and
+    deltas are checked before M is drawn.
     """
     sizes = [int(s) for s in sizes]
     if any(s < 1 for s in sizes):
@@ -114,17 +131,19 @@ def delta_sweep(sizes, deltas=DEFAULT_DELTAS, seed=0, permute=False):
             raise ValueError(f"delta must lie in [0, 2], got {delta}")
     rng = np.random.default_rng(seed)
     n = sum(sizes)
-    m = _sample_m(n, rng)
+    m, rows = _sample_m(n, rng)
     labels = _block_labels(sizes)
     bounds = np.cumsum([0] + sizes)
     blocks = list(zip(bounds[:-1], bounds[1:]))
     perm = rng.permutation(n) if permute else None
-    c = _cluster_constants(m, blocks)
+    c = _cluster_constants(m, rows, blocks)
     c_min = float(c.min())
-    for delta in deltas:
+    last = len(deltas) - 1
+    for i, delta in enumerate(deltas):
         # no local keeps the graph, so once the consumer drops an instance
-        # nothing holds its W while the next one is built
-        yield SynthInstance(*_assemble(m, blocks, labels, delta, perm),
+        # nothing holds its W while the next one is built; the last point,
+        # after which M is not needed, scales M's own array into its W
+        yield SynthInstance(*_assemble(m, blocks, labels, delta, perm, i == last),
                             delta=delta, c=c, c_min=c_min)
 
 

@@ -316,6 +316,44 @@ def reference_cosine_knn_graph(dataset, p):
     return WeightedGraph(adjacency)
 
 
+def reference_synth(sizes, deltas, seed, permute=False):
+    """The synthetic generator as first written, the oracle that delta_sweep
+    is checked against bit for bit: M from uniform(0, 1) draws mirrored as
+    triu(U, 1) + triu(U, 1).T, and every W = M * (0.5 delta) in a fresh
+    array with M's diagonal blocks copied back.  One (W, labels, c, c_min,
+    degrees) per delta; the degrees are summed as the graph's storage rule
+    stores W, dense or CSR."""
+    rng = np.random.default_rng(seed)
+    n = sum(sizes)
+    upper = np.triu(rng.uniform(0.0, 1.0, size=(n, n)), 1)
+    m = upper + upper.T
+    labels = np.repeat(np.arange(len(sizes)), sizes)
+    bounds = np.cumsum([0] + list(sizes))
+    blocks = list(zip(bounds[:-1], bounds[1:]))
+    perm = rng.permutation(n) if permute else None
+    if len(blocks) == 1:
+        c = np.array([np.inf])
+    else:
+        rows = m.sum(axis=1)
+        within = np.array([m[lo:hi, lo:hi].sum() for lo, hi in blocks])
+        c = within / (0.5 * (np.array([rows[lo:hi].sum() for lo, hi in blocks])
+                             - within))
+    points = []
+    for delta in deltas:
+        w = m * (0.5 * delta)
+        for lo, hi in blocks:
+            w[lo:hi, lo:hi] = m[lo:hi, lo:hi]
+        truth = labels
+        if perm is not None:
+            w, truth = w[np.ix_(perm, perm)], labels[perm]
+        if np.count_nonzero(w) >= 0.5 * w.size:
+            degrees = w.sum(axis=1)
+        else:
+            degrees = np.asarray(sp.csr_matrix(w).sum(axis=1)).ravel()
+        points.append((w, truth, c, float(c.min()), degrees))
+    return points
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)

@@ -176,6 +176,18 @@ def _ring_with(value, n=20):
     return m
 
 
+TILE = graph_module.TILE
+
+
+def _tiled_with(entries):
+    """All-ones adjacency over three whole tiles of graph.TILE rows and a
+    partial fourth, with some entries set; stored dense."""
+    m = np.ones((3 * TILE + 44,) * 2)
+    for (i, j), value in entries.items():
+        m[i, j] = value
+    return m
+
+
 REJECTED = {
     "nan": (_full_with({(0, 2): np.nan, (2, 0): np.nan}), "finite.*found nan"),
     "inf": (_full_with({(0, 2): np.inf, (2, 0): np.inf}), "finite.*found inf"),
@@ -190,6 +202,16 @@ REJECTED = {
     "inf-sparse": (_ring_with(np.inf), "finite.*found inf"),
     "-inf-sparse": (_ring_with(-np.inf), "finite.*found -inf"),
     "negative-sparse": (_ring_with(-1.0), "finite.*found -1.0"),
+    # only the last, partial tile of the diagonal differs from its mirror
+    "asymmetric-last-tile": (_tiled_with({(-2, -1): 2.0}), "must be symmetric"),
+    # only a whole tile two tiles below the diagonal
+    "asymmetric-far-tile": (_tiled_with({(3 * TILE - 1, 0): 2.0}), "must be symmetric"),
+    # an asymmetry in the first panel, a NaN in the second and a negative
+    # weight in the third: the weight check wins, naming the first bad entry
+    # in row-major order
+    "nan-after-asymmetry": (_tiled_with({(0, 1): 2.0, (TILE + 3, 7): np.nan,
+                                         (2 * TILE + 1, 0): -1.0}),
+                            "finite.*found nan"),
 }
 
 
@@ -204,6 +226,17 @@ def test_ndarray_and_csr_rejected_alike(case):
             WeightedGraph(adjacency)
         messages.append(str(info.value))
     assert messages[0] == messages[1]
+
+
+@pytest.mark.parametrize("n", [1, 3, 2 * TILE + 1])
+def test_dense_degrees_are_row_sums(rng, n):
+    # the degrees come from the check's pass over panels of rows, the same
+    # bits as one sum over the whole array
+    w = rng.uniform(0.1, 1.0, size=(n, n))
+    w = w + w.T
+    g = WeightedGraph(w)
+    assert isinstance(g.adjacency, np.ndarray)
+    assert g.degrees.tobytes() == w.sum(axis=1).tobytes()
 
 
 class TestNormalizedLaplacian:

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 import tracemalloc
 import weakref
 from pathlib import Path
@@ -426,7 +427,7 @@ class TestCliPipeline:
         assert [r["bound"] for r in read_json_lines(rec)] == [1.0]
 
     def test_sweep_records_are_reproducible(self, tmp_path):
-        timing = {"elli_elapsed_s", "ksc_elapsed_s"}
+        timing = {"elli_elapsed_s", "ksc_elapsed_s", "build_s"}
         batches = []
         for run in ("1", "2"):
             out = tmp_path / f"sweep{run}.json"
@@ -439,6 +440,21 @@ class TestCliPipeline:
         for r in batches[0]:
             assert r["ksc_iterations"] >= 4  # every trial takes a step
             assert r["elli_stats"]["embed"]["method"] == "eigh"
+
+    def test_sweep_build_s_times_the_generator(self, tmp_path, monkeypatch):
+        # build_s is the time next() took on the sweep for that point
+        real_sweep = cli.delta_sweep
+
+        def slow_sweep(*args, **kwargs):
+            for inst in real_sweep(*args, **kwargs):
+                time.sleep(0.02)
+                yield inst
+
+        monkeypatch.setattr(cli, "delta_sweep", slow_sweep)
+        out = tmp_path / "sweep.json"
+        assert main(["sweep", "--sizes", "12x3", "--deltas", "0.3,0.6",
+                     "--algos", "elli", "--json", str(out)]) == 0
+        assert [r["build_s"] >= 0.02 for r in read_json_lines(out)] == [True, True]
 
     @pytest.mark.parametrize("delta", [0.1, 1.0])
     def test_sweep_scores_each_partition_once(self, delta, monkeypatch):
@@ -455,7 +471,7 @@ class TestCliPipeline:
             for name, value in patches.items():
                 monkeypatch.setattr(cli, name, value)
             scored.clear()
-            out = cli._sweep_point(inst, ["ksc"], 20, 2)
+            out = cli._sweep_point(inst, 0.0, ["ksc"], 20, 2)
             out.pop("ksc_elapsed_s")
             return json.dumps(out, sort_keys=True), len(scored)
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from ellispec import synth
+from ellispec.graph import TILE
 from ellispec import (
     accuracy,
     conductance_bound,
@@ -13,7 +14,21 @@ from ellispec import (
     synth_adjacency,
 )
 
-from conftest import dense
+from conftest import dense, reference_synth
+
+# 421 nodes: three whole tiles of graph.TILE = 128 rows and a partial one
+TILED_SIZES = [150, 130, 141]
+
+
+def assert_same_instance(inst, point):
+    """Bit for bit: W, truth, c, c_min and the degrees of a reference_synth
+    point."""
+    w, truth, c, c_min, degrees = point
+    assert dense(inst.graph.adjacency).tobytes() == w.tobytes()
+    assert inst.truth.labels.tobytes() == truth.tobytes()
+    assert inst.c.tobytes() == c.tobytes()
+    assert np.float64(inst.c_min).tobytes() == np.float64(c_min).tobytes()
+    assert inst.graph.degrees.tobytes() == degrees.tobytes()
 
 
 class TestStructure:
@@ -189,14 +204,52 @@ class TestValidation:
         assert accuracy(a.truth, b.truth) == 1.0
 
 
-def test_dense_build_peak_memory():
-    # M and W are the two n x n arrays the generator needs; with a CSR copy
-    # of W and n x n temporaries the peak was 6.4 x 8n^2 bytes
+class TestReferenceBits:
+    """Every instance equals, bit for bit, the one the generator as first
+    written builds (conftest.reference_synth)."""
+
+    @pytest.mark.parametrize("permute", [False, True])
+    @pytest.mark.parametrize("delta", [0.0, 0.3, 2.0])
+    def test_single_instance(self, delta, permute):
+        assert sum(TILED_SIZES) > 2 * TILE and sum(TILED_SIZES) % TILE
+        inst = synth_adjacency(TILED_SIZES, delta, 8, permute=permute)
+        # delta = 0 leaves the blocks alone, stored as CSR
+        assert isinstance(inst.graph.adjacency, np.ndarray) == (delta > 0)
+        assert_same_instance(inst, reference_synth(TILED_SIZES, [delta], 8, permute)[0])
+
+    @pytest.mark.parametrize("permute", [False, True])
+    def test_sweep_kept_until_exhausted(self, permute):
+        # every instance is kept until the generator is done: an earlier W
+        # that shared M's array would change when the last point scales M
+        # into its own W
+        deltas = [0.3, 2.0, 0.6]
+        insts = list(delta_sweep(TILED_SIZES, deltas, seed=4, permute=permute))
+        for inst, point in zip(insts, reference_synth(TILED_SIZES, deltas, 4, permute)):
+            assert_same_instance(inst, point)
+
+    def test_single_cluster(self):
+        inst = synth_adjacency([TILE + 5], 0.7, 2)
+        assert_same_instance(inst, reference_synth([TILE + 5], [0.7], 2)[0])
+
+
+def build_peak(permute):
+    """Peak traced bytes of one 2000-node dense instance, in units of 8n^2."""
     n = 2000
     tracemalloc.start()
     try:
-        synth_adjacency([500] * 4, 0.5, 0)
+        synth_adjacency([500] * 4, 0.5, 0, permute=permute)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2.5 * 8 * n * n
+    return peak / (8 * n * n)
+
+
+def test_dense_build_peak_memory():
+    # a single instance builds W in M's own array, the one n x n array it
+    # needs
+    assert build_peak(permute=False) <= 1.1
+
+
+def test_permuted_build_peak_memory():
+    # the node shuffle copies W out of M's array: two n x n arrays
+    assert build_peak(permute=True) <= 2.1
